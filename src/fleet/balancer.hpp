@@ -36,44 +36,29 @@
 // the worker sees EOF; a finished downlink shuts down the client read side
 // to pop the uplink out of recv before joining it.
 //
-// Accept/drain shape is TuneServeLoop's: accept thread + self-pipe,
+// Accept/drain shape is net::SessionServer's (net/session_server.hpp),
+// the same server TuneServeLoop owns: accept thread + self-pipe,
 // accept-pausing backpressure at max_pending, in-band first-line `status`
 // (JSON) / `status prometheus` (text exposition format) answered without
 // touching session counters, optional dedicated status listener, and an
 // async-signal-safe request_drain() that stops accepting and lets every
 // in-flight session finish — including finishing any migration it is in
-// the middle of.
+// the middle of. The balancer supplies the relay handler.
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "fleet/registry.hpp"
-#include "net/load_balancer.hpp"
-#include "net/socket.hpp"
+#include "net/session_server.hpp"
 #include "obs/metrics.hpp"
-
-namespace effitest::obs {
-class StructuredLog;
-}  // namespace effitest::obs
 
 namespace effitest::fleet {
 
-struct BalancerOptions {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;  ///< 0: ephemeral, read the choice from port()
+/// The listener, backpressure and drain fields are net::ServerOptions'.
+struct BalancerOptions : net::ServerOptions {
   /// Concurrent relay sessions (each also spawns one uplink thread).
   std::size_t relay_workers = 8;
-  std::size_t max_pending = 64;
-  /// Drain automatically after this many accepted sessions; 0 = run until
-  /// request_drain().
-  std::size_t max_sessions = 0;
   /// Re-attach attempts after a session's first worker dies; attempt
   /// 1 + max_session_retries failing (or no acquirable worker) is fleet
   /// exhaustion.
@@ -81,12 +66,6 @@ struct BalancerOptions {
   /// Pause before each re-attach, so a just-killed worker's supervisor
   /// restart and the registry's probe re-admission get a beat to land.
   double attach_backoff_seconds = 0.05;
-  double io_timeout_seconds = 0.0;
-  int listen_backlog = 512;
-  /// Dedicated status endpoint, exactly like ServeOptions::status_port:
-  /// -1 disables, 0 binds ephemeral (read status_port()).
-  int status_port = -1;
-  obs::StructuredLog* log = nullptr;
 };
 
 // Fleet-level metric names (the balancer's own obs::MetricsRegistry —
@@ -109,74 +88,25 @@ inline constexpr const char* kFleetWorkersDead = "fleet.workers_dead";
 inline constexpr const char* kFleetWallSeconds = "fleet.wall_seconds";
 inline constexpr const char* kFleetSessionsPerSec = "fleet.sessions_per_sec";
 
-class FleetBalancer {
+/// The balance front end: a net::SessionServer whose connection handler
+/// relays the session to a worker. request_drain() also lets a migration
+/// in progress finish.
+class FleetBalancer : public net::SessionServer {
  public:
   /// The registry must outlive the balancer and have every slot added
   /// before construction (per-slot gauges are bound here, under the
   /// Gauge::bind before-threads contract); endpoints may still be unknown
   /// and slots keep being re-pointed by a supervisor afterwards.
   FleetBalancer(WorkerRegistry& registry, BalancerOptions options);
-  ~FleetBalancer();
-
-  FleetBalancer(const FleetBalancer&) = delete;
-  FleetBalancer& operator=(const FleetBalancer&) = delete;
-
-  /// Bind, listen, spawn the accept thread and the relay pool. Throws
-  /// std::runtime_error when the address cannot be bound.
-  void start();
-
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] const std::string& host() const { return options_.host; }
-  [[nodiscard]] std::uint16_t status_port() const { return status_port_; }
-
-  /// Async-signal-safe (atomic store + one pipe write): stop accepting,
-  /// finish queued and in-flight sessions (migrations included).
-  void request_drain();
-
-  /// Join everything; returns once the last session finished. Idempotent.
-  void wait();
-
-  /// Registry snapshot with the wall-clock gauges refreshed (frozen at
-  /// drain time once drained, like TuneServeLoop::metrics).
-  [[nodiscard]] obs::RegistrySnapshot metrics() const;
-
-  /// metrics() as the one-line `effitest-status-v1` JSON the in-band
-  /// `status` request and the --status-port endpoint return.
-  [[nodiscard]] std::string status_json() const;
+  ~FleetBalancer() override;
 
  private:
-  void accept_loop();
-  void answer_status_connection();
-  void relay_worker_loop(std::size_t w);
-  void relay_session(net::Socket client);
+  /// The relay: attach, forward both ways, migrate on worker death.
+  void handle_connection(net::Socket client) override;
 
   WorkerRegistry* registry_;
   BalancerOptions options_;
-  std::unique_ptr<net::Listener> listener_;
-  std::unique_ptr<net::Listener> status_listener_;
-  std::uint16_t port_ = 0;
-  std::uint16_t status_port_ = 0;
-  net::LoadBalancer<net::Socket> pool_;
-  std::vector<std::thread> threads_;
-  net::Socket drain_pipe_r_;
-  net::Socket drain_pipe_w_;
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> started_{false};
-
-  mutable obs::MetricsRegistry metrics_registry_;
-  obs::Counter* routed_;
-  obs::Counter* completed_;
-  obs::Counter* failed_;
-  obs::Counter* retried_;
-  obs::Counter* status_requests_;
-  obs::Gauge* active_sessions_;
-  obs::Gauge* wall_seconds_;
-  obs::Gauge* sessions_per_sec_;
-
-  mutable std::mutex time_mutex_;
-  std::chrono::steady_clock::time_point started_at_{};
-  std::chrono::steady_clock::time_point drained_at_{};
-  bool drained_ = false;
+  obs::Counter* retried_;  ///< cached from the server's registry
 };
 
 }  // namespace effitest::fleet

@@ -1,9 +1,6 @@
 #include "fleet/registry.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
-#include <stdexcept>
+#include <chrono>
 #include <utility>
 
 #include "io/json.hpp"
@@ -168,12 +165,6 @@ void WorkerRegistry::start_probing() {
     if (probing_) return;
     probing_ = true;
   }
-  int fds[2] = {-1, -1};
-  if (::pipe(fds) != 0) {
-    throw std::runtime_error("fleet: registry pipe failed");
-  }
-  stop_pipe_r_ = net::Socket(fds[0]);
-  stop_pipe_w_ = net::Socket(fds[1]);
   prober_thread_ = std::thread([this] { prober_loop(); });
 }
 
@@ -183,27 +174,21 @@ void WorkerRegistry::stop_probing() {
     if (!probing_) return;
     probing_ = false;
   }
-  if (stop_pipe_w_.valid()) {
-    const char byte = 's';
-    (void)!::write(stop_pipe_w_.fd(), &byte, 1);
-  }
+  stop_cv_.notify_all();
   if (prober_thread_.joinable()) prober_thread_.join();
-  stop_pipe_r_.close();
-  stop_pipe_w_.close();
 }
 
 void WorkerRegistry::prober_loop() {
-  const int interval_ms =
+  const std::chrono::milliseconds interval(
       options_.probe_interval_seconds <= 0.0
           ? 100
-          : static_cast<int>(options_.probe_interval_seconds * 1e3);
+          : static_cast<int>(options_.probe_interval_seconds * 1e3));
   for (;;) {
-    pollfd pfd{stop_pipe_r_.fd(), POLLIN, 0};
-    const int n = ::poll(&pfd, 1, interval_ms);
-    if (n > 0 && (pfd.revents & POLLIN) != 0) return;  // stop requested
     {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!probing_) return;
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (stop_cv_.wait_for(lock, interval, [this] { return !probing_; })) {
+        return;  // stop requested
+      }
     }
     probe_all();
   }

@@ -35,6 +35,7 @@
 // OUTSIDE the lock (it does network I/O), so a slow worker never blocks
 // routing.
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -43,8 +44,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "net/socket.hpp"
 
 namespace effitest::fleet {
 
@@ -163,11 +162,10 @@ class WorkerRegistry {
   std::vector<Slot> slots_;
   Prober prober_;
   std::thread prober_thread_;
-  // Signaled via the pipe so stop_probing() interrupts a sleeping prober
-  // immediately instead of waiting out the interval.
-  net::Socket stop_pipe_r_;
-  net::Socket stop_pipe_w_;
-  bool probing_ = false;
+  // Notified so stop_probing() interrupts a sleeping prober immediately
+  // instead of waiting out the interval.
+  std::condition_variable stop_cv_;
+  bool probing_ = false;  ///< guarded by mutex_
 };
 
 }  // namespace effitest::fleet

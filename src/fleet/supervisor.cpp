@@ -118,7 +118,7 @@ void ProcessSupervisor::spawn_locked(std::size_t index) {
   }
 }
 
-void ProcessSupervisor::drain_pipe_locked(std::size_t index) {
+void ProcessSupervisor::read_output_locked(std::size_t index) {
   Child& child = children_[index];
   if (!child.pipe.valid()) return;
   char buf[4096];
@@ -200,7 +200,7 @@ void ProcessSupervisor::start() {
     (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()), 200);
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      for (std::size_t i = 0; i < children_.size(); ++i) drain_pipe_locked(i);
+      for (std::size_t i = 0; i < children_.size(); ++i) read_output_locked(i);
     }
   }
   int stop_fds[2] = {-1, -1};
@@ -232,7 +232,7 @@ void ProcessSupervisor::monitor_loop() {
 
     std::unique_lock<std::mutex> lock(mutex_);
     if (!monitoring_) return;
-    for (std::size_t i = 0; i < children_.size(); ++i) drain_pipe_locked(i);
+    for (std::size_t i = 0; i < children_.size(); ++i) read_output_locked(i);
     const auto now = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < children_.size(); ++i) {
       Child& child = children_[i];

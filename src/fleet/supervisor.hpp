@@ -115,7 +115,7 @@ class ProcessSupervisor {
   };
 
   void spawn_locked(std::size_t index);
-  void drain_pipe_locked(std::size_t index);
+  void read_output_locked(std::size_t index);
   void monitor_loop();
   [[nodiscard]] bool all_ready_locked() const;
 

@@ -157,10 +157,6 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
       "connect: server closed the connection before bye");
 }
 
-std::string fetch_status(const std::string& host, std::uint16_t port) {
-  return fetch_status(host, port, 0.0);
-}
-
 std::string fetch_status(const std::string& host, std::uint16_t port,
                          double timeout_seconds) {
   Socket conn = connect_to(host, port);

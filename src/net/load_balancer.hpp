@@ -1,5 +1,6 @@
 #pragma once
-// Worker-priority dispatch queue for the serve loop (net/serve.hpp).
+// Worker-priority dispatch queue for the session server
+// (net/session_server.hpp).
 //
 // Each worker owns a deque; dispatch() pushes a task onto the deque of the
 // least-loaded worker, where load = tasks queued for it + the task it is
@@ -9,7 +10,7 @@
 // while other workers sit idle.
 //
 // The accept loop reads queued() for backpressure: when the total backlog
-// reaches ServeOptions::max_pending it simply stops accepting — pending
+// reaches ServerOptions::max_pending it simply stops accepting — pending
 // connections wait in the kernel's listen backlog instead of a user-space
 // queue, so no client is ever busy-rejected (a requirement for driving
 // hundreds of concurrent loopback sessions through a handful of workers).
@@ -105,7 +106,7 @@ class LoadBalancer {
   }
 
   /// Tasks accepted but not yet claimed by a worker (the accept loop's
-  /// backpressure signal and ServeMetrics' queue depth).
+  /// backpressure signal and the queue_depth gauge).
   [[nodiscard]] std::size_t queued() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return queued_;

@@ -1,13 +1,8 @@
 #include "net/serve.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
+#include <chrono>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -85,159 +80,29 @@ Hello parse_hello(const std::string& line, const ServeOptions& options) {
 
 TuneServeLoop::TuneServeLoop(const core::TunerService& service,
                              ServeOptions options)
-    : service_(&service),
+    : SessionServer(options, options.workers,
+                    {kMetricSessionsAccepted,
+                     kMetricSessionsCompleted,
+                     kMetricSessionsFailed,
+                     {kMetricChipsTuned, kMetricStimuli},
+                     kMetricStatusRequests,
+                     kMetricActiveSessions,
+                     kMetricWallSeconds,
+                     kMetricSessionsPerSec,
+                     kMetricQueueDepth}),
+      service_(&service),
       options_(std::move(options)),
-      balancer_(options_.workers == 0 ? 1 : options_.workers),
-      accepted_(&registry_.counter(kMetricSessionsAccepted)),
-      completed_(&registry_.counter(kMetricSessionsCompleted)),
-      failed_(&registry_.counter(kMetricSessionsFailed)),
-      chips_tuned_(&registry_.counter(kMetricChipsTuned)),
-      stimuli_(&registry_.counter(kMetricStimuli)),
-      status_requests_(&registry_.counter(kMetricStatusRequests)),
-      active_sessions_(&registry_.gauge(kMetricActiveSessions)),
-      wall_seconds_(&registry_.gauge(kMetricWallSeconds)),
-      sessions_per_sec_(&registry_.gauge(kMetricSessionsPerSec)),
-      latency_(&registry_.histogram(kMetricSessionLatency)) {
-  // Bound before any thread exists (the Gauge::bind contract).
-  registry_.gauge(kMetricQueueDepth).bind([this] {
-    return static_cast<double>(balancer_.queued());
-  });
-}
+      chips_tuned_(&metrics_registry().counter(kMetricChipsTuned)),
+      stimuli_(&metrics_registry().counter(kMetricStimuli)),
+      latency_(&metrics_registry().histogram(kMetricSessionLatency)) {}
 
 TuneServeLoop::~TuneServeLoop() {
+  // Join the pool while every member its handler touches is still alive.
   request_drain();
   wait();
 }
 
-void TuneServeLoop::start() {
-  if (started_.exchange(true)) {
-    throw std::logic_error("serve: start() called twice");
-  }
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error("serve: pipe failed");
-  }
-  drain_pipe_r_ = Socket(pipe_fds[0]);
-  drain_pipe_w_ = Socket(pipe_fds[1]);
-  listener_ = std::make_unique<Listener>(options_.host, options_.port,
-                                         options_.listen_backlog);
-  port_ = listener_->port();
-  if (options_.status_port >= 0) {
-    status_listener_ = std::make_unique<Listener>(
-        options_.host, static_cast<std::uint16_t>(options_.status_port),
-        options_.listen_backlog);
-    status_port_ = status_listener_->port();
-  }
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    started_at_ = std::chrono::steady_clock::now();
-  }
-  threads_.reserve(balancer_.workers() + 1);
-  threads_.emplace_back([this] { accept_loop(); });
-  for (std::size_t w = 0; w < balancer_.workers(); ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
-
-void TuneServeLoop::request_drain() {
-  // Called from signal handlers: atomic store + one write(2), nothing else.
-  if (draining_.exchange(true)) return;
-  if (drain_pipe_w_.valid()) {
-    const char byte = 'd';
-    (void)!::write(drain_pipe_w_.fd(), &byte, 1);
-  }
-}
-
-void TuneServeLoop::wait() {
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-  std::lock_guard<std::mutex> lock(time_mutex_);
-  if (!drained_ && started_.load()) {
-    drained_ = true;
-    drained_at_ = std::chrono::steady_clock::now();
-  }
-}
-
-void TuneServeLoop::accept_loop() {
-  std::size_t accepted = 0;
-  while (!draining_.load(std::memory_order_relaxed)) {
-    // Backpressure: with the backlog full, stop watching the tune listener
-    // and re-check the queue on a short tick — pending connections sit in
-    // the kernel's listen queue, nobody is rejected. The status listener
-    // stays in the poll set even then: observability must keep answering
-    // exactly when the fleet is saturated.
-    const bool paused = balancer_.queued() >= options_.max_pending;
-    pollfd fds[3];
-    nfds_t nfds = 0;
-    fds[nfds++] = {drain_pipe_r_.fd(), POLLIN, 0};
-    std::size_t tune_idx = 0;
-    if (!paused) {
-      tune_idx = nfds;
-      fds[nfds++] = {listener_->fd(), POLLIN, 0};
-    }
-    std::size_t status_idx = 0;
-    if (status_listener_ != nullptr) {
-      status_idx = nfds;
-      fds[nfds++] = {status_listener_->fd(), POLLIN, 0};
-    }
-    const int n = ::poll(fds, nfds, paused ? 50 : 500);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[0].revents != 0) break;  // drain requested
-    if (status_listener_ != nullptr && status_idx != 0 &&
-        (fds[status_idx].revents & POLLIN) != 0) {
-      answer_status_connection();
-    }
-    if (paused || n == 0 || (fds[tune_idx].revents & POLLIN) == 0) continue;
-    Socket conn = listener_->accept();
-    if (!conn.valid()) continue;
-    conn.set_io_timeout(options_.io_timeout_seconds);
-    balancer_.dispatch(std::move(conn));
-    ++accepted;
-    if (options_.max_sessions != 0 && accepted >= options_.max_sessions) {
-      request_drain();
-      break;
-    }
-  }
-  // Stop the kernel from queueing more connections, then let the workers
-  // finish everything already accepted.
-  listener_->close();
-  if (status_listener_ != nullptr) status_listener_->close();
-  balancer_.close();
-}
-
-void TuneServeLoop::answer_status_connection() {
-  // Runs on the accept thread: a short send timeout keeps one stalled
-  // poller from ever blocking accepts for long.
-  Socket conn = status_listener_->accept();
-  if (!conn.valid()) return;
-  conn.set_io_timeout(1.0);
-  status_requests_->inc();  // before rendering, so the reply includes itself
-  const std::string line = status_json() + "\n";
-  SocketStream stream(std::move(conn));
-  stream << line;
-  stream.flush();
-  // Drain whatever the poller sent (fetch_status writes "status\n" to
-  // work against both kinds of status socket) before closing: closing
-  // with unread input makes TCP answer the client's bytes with an RST,
-  // which can destroy the reply still sitting in its receive buffer. The
-  // 1s io timeout above bounds a poller that neither writes nor closes.
-  std::string discard;
-  (void)std::getline(stream, discard);
-}
-
-void TuneServeLoop::worker_loop(std::size_t w) {
-  while (auto task = balancer_.next(w)) {
-    serve_connection(std::move(*task));
-    balancer_.task_done(w);
-  }
-}
-
-void TuneServeLoop::serve_connection(Socket socket) {
+void TuneServeLoop::handle_connection(Socket socket) {
   const auto session_start = std::chrono::steady_clock::now();
   SocketStream stream(std::move(socket));
   std::string line;
@@ -247,22 +112,16 @@ void TuneServeLoop::serve_connection(Socket socket) {
     got_line = true;
     if (!line.empty() && line.back() == '\r') line.pop_back();
   }
-  // An in-band status poll: answer and close without touching the session
-  // counters, so watching a fleet does not change what it reports (the
-  // poll itself shows up in serve.status_requests — incremented before
-  // rendering, so every reply already includes itself).
-  if (got_line && (line == "status" || line == "status prometheus")) {
-    status_requests_->inc();
-    if (line == "status") {
-      stream << status_json() << '\n';
-    } else {
-      stream << obs::render_prometheus_text(metrics());
+  // An in-band status poll: answered and closed without touching the
+  // session counters, so watching a fleet does not change what it reports.
+  if (got_line) {
+    if (const auto reply = answer_status(line)) {
+      stream << *reply;
+      stream.flush();
+      return;
     }
-    stream.flush();
-    return;
   }
-  accepted_->inc();
-  active_sessions_->add(1.0);
+  begin_session();
   if (!got_line) {
     hello.error = "connection closed before hello";
   } else {
@@ -305,9 +164,8 @@ void TuneServeLoop::serve_connection(Socket socket) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     session_start)
           .count();
-  active_sessions_->add(-1.0);
+  end_session(completed);
   if (completed) {
-    completed_->inc();
     chips_tuned_->inc(chips);
     latency_->record(seconds);
     if (options_.log != nullptr) {
@@ -317,37 +175,11 @@ void TuneServeLoop::serve_connection(Socket socket) {
            obs::LogField::u64("chips", chips),
            obs::LogField::f64("seconds", seconds)});
     }
-  } else {
-    failed_->inc();
-    if (options_.log != nullptr) {
-      options_.log->emit("serve", "session_failed",
-                         {obs::LogField::str("reason", failure),
-                          obs::LogField::f64("seconds", seconds)});
-    }
+  } else if (options_.log != nullptr) {
+    options_.log->emit("serve", "session_failed",
+                       {obs::LogField::str("reason", failure),
+                        obs::LogField::f64("seconds", seconds)});
   }
-}
-
-obs::RegistrySnapshot TuneServeLoop::metrics() const {
-  // Refresh the wall-clock gauges at snapshot time. After drain they
-  // freeze at drained_at_, so late reads of the end-of-run summary are
-  // stable; counters and histograms are live atomics either way.
-  double wall = 0.0;
-  {
-    std::lock_guard<std::mutex> lock(time_mutex_);
-    if (started_at_.time_since_epoch().count() != 0) {
-      const auto end =
-          drained_ ? drained_at_ : std::chrono::steady_clock::now();
-      wall = std::chrono::duration<double>(end - started_at_).count();
-    }
-  }
-  wall_seconds_->set(wall);
-  sessions_per_sec_->set(
-      wall > 0.0 ? static_cast<double>(completed_->value()) / wall : 0.0);
-  return registry_.snapshot();
-}
-
-std::string TuneServeLoop::status_json() const {
-  return obs::render_status_json(metrics());
 }
 
 }  // namespace effitest::net

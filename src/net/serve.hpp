@@ -9,11 +9,10 @@
 //   ...the standard effitest-tune-v1 exchange (header, stimulus/response,
 //      report, bye), byte-identical to `effitest_cli tune`...
 //
-// A connection whose first line is `status` instead of a hello receives
-// one `effitest-status-v1` JSON line (the live metrics registry) and is
-// closed — it is counted in serve.status_requests, never in the session
-// counters, so polling does not perturb the fleet's numbers. The same
-// line is served to any connection on ServeOptions::status_port.
+// A connection whose first line is `status` (or `status prometheus`)
+// instead of a hello is answered by the SessionServer's status path
+// (net/session_server.hpp) and closed, counted in serve.status_requests
+// and never in the session counters.
 //
 // The greeting carries monte_carlo_seed_base() because a client simulating
 // dies cannot recompute it: the base falls out of the offline phase's RNG
@@ -22,51 +21,29 @@
 // Monte-Carlo loop — so a loopback client's reports are byte-identical to
 // `tune --simulate` for the same circuit and flow options.
 //
-// Concurrency shape: an accept thread hands connections to a
-// net::LoadBalancer of `workers` session threads (worker-priority deques +
-// stealing, load_balancer.hpp). Backpressure is accept-pausing: when the
-// un-claimed backlog reaches `max_pending` the accept loop stops calling
-// accept() and pending connections wait in the kernel listen backlog —
-// nobody is busy-rejected. Per-session backpressure reuses the protocol's
-// chip_window: at most `chip_window` live TuningSessions per connection,
-// responses for unadmitted chips parked in the reorder buffer under the
-// same kMaxPendingWindow bound as every other mode.
-//
-// Drain (SIGTERM): request_drain() is async-signal-safe — it flips an
-// atomic and writes one byte to a self-pipe the accept loop polls next to
-// the listener. The listener closes immediately, queued and in-flight
-// sessions run to completion, then wait() returns. A client that vanishes
+// Accept thread, worker pool, accept-pausing backpressure, the status
+// listener and the async-signal-safe drain are net::SessionServer's; this
+// loop supplies the per-connection handler (hello, then one io::TuneServer
+// session). Per-session backpressure reuses the protocol's chip_window: at
+// most `chip_window` live TuningSessions per connection, responses for
+// unadmitted chips parked in the reorder buffer under the same
+// kMaxPendingWindow bound as every other mode. A client that vanishes
 // mid-session surfaces as stream EOF inside that one session; sibling
 // sessions never notice.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/tuner_service.hpp"
-#include "net/load_balancer.hpp"
-#include "net/socket.hpp"
+#include "net/session_server.hpp"
 #include "obs/metrics.hpp"
-
-namespace effitest::obs {
-class StructuredLog;
-}  // namespace effitest::obs
 
 namespace effitest::net {
 
-struct ServeOptions {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;  ///< 0: ephemeral, read the choice from port()
+struct ServeOptions : ServerOptions {
   std::size_t workers = 8;
-  /// Accept-pausing threshold: stop accepting while this many accepted
-  /// connections are not yet claimed by a worker.
-  std::size_t max_pending = 64;
   /// Per-session chip window forced by the server; 0 honors the client's
   /// `window=` request (or no window at all). A nonzero value caps the
   /// client's request.
@@ -74,32 +51,14 @@ struct ServeOptions {
   /// hello chips=<n> above this is rejected before any session state is
   /// allocated (an `error - ...` line, then close).
   std::size_t max_chips_per_session = 100000;
-  /// Drain automatically after this many accepted sessions; 0 = serve
-  /// until request_drain(). The self-terminating mode tests and the CI
-  /// smoke step rely on.
-  std::size_t max_sessions = 0;
-  /// Socket send/receive timeout per session; 0 = block forever. A recv
-  /// timeout looks like a disconnected tester (stream EOF).
-  double io_timeout_seconds = 0.0;
-  int listen_backlog = 512;
-  /// Plaintext status endpoint: every connection to this port immediately
-  /// receives one `effitest-status-v1` JSON line and is closed — pollable
-  /// with netcat/curl, independent of the tune listener's backpressure
-  /// and its max_sessions budget. -1 disables (the default); 0 binds an
-  /// ephemeral port, read the choice from status_port().
-  int status_port = -1;
-  /// Structured event log (session_complete/session_failed here, plus the
-  /// per-chip session events via the protocol layer), or nullptr — the
-  /// zero-overhead default the perf gates run with.
-  obs::StructuredLog* log = nullptr;
 };
 
 // Metric names the serve loop registers (obs::MetricsRegistry). Counters
 // are monotonic; the latency histogram records per-session wall seconds
-// into power-of-two-microsecond buckets (obs::Histogram, the math the old
-// LatencyHistogram used). `serve.wall_seconds`/`serve.sessions_per_sec`
-// are refreshed at snapshot time and freeze once the loop drains, so the
-// end-of-run summary is stable however late it is read.
+// into power-of-two-microsecond buckets (obs::Histogram).
+// `serve.wall_seconds`/`serve.sessions_per_sec` are refreshed at snapshot
+// time and freeze once the loop drains, so the end-of-run summary is
+// stable however late it is read.
 inline constexpr const char* kMetricSessionsAccepted =
     "serve.sessions_accepted";
 inline constexpr const char* kMetricSessionsCompleted =
@@ -115,81 +74,23 @@ inline constexpr const char* kMetricSessionsPerSec = "serve.sessions_per_sec";
 inline constexpr const char* kMetricSessionLatency =
     "serve.session_latency_us";
 
-class TuneServeLoop {
+/// The serve front end: a SessionServer whose connection handler parses
+/// the hello and runs one io::TuneServer session.
+class TuneServeLoop : public SessionServer {
  public:
   TuneServeLoop(const core::TunerService& service, ServeOptions options);
-  ~TuneServeLoop();
-
-  TuneServeLoop(const TuneServeLoop&) = delete;
-  TuneServeLoop& operator=(const TuneServeLoop&) = delete;
-
-  /// Bind, listen, spawn the accept thread and the worker pool. Throws
-  /// std::runtime_error when the address cannot be bound.
-  void start();
-
-  /// Valid after start(); the kernel's choice when options.port was 0.
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] const std::string& host() const { return options_.host; }
-  /// Valid after start() when ServeOptions::status_port >= 0; 0 otherwise.
-  [[nodiscard]] std::uint16_t status_port() const { return status_port_; }
-
-  /// Async-signal-safe (atomic store + one pipe write): stop accepting,
-  /// finish queued and in-flight sessions. Idempotent.
-  void request_drain();
-
-  /// Join everything; returns once the last session finished. Idempotent.
-  void wait();
-
-  /// Registry snapshot with the wall-clock gauges refreshed. The counter
-  /// and histogram entries are exactly what a concurrent `status` poll
-  /// sees: a poll taken after the last session finished matches the
-  /// end-of-run snapshot on every monotonic metric.
-  [[nodiscard]] obs::RegistrySnapshot metrics() const;
-
-  /// metrics() rendered as one `effitest-status-v1` JSON line — what the
-  /// in-band `status` request and the --status-port endpoint return.
-  [[nodiscard]] std::string status_json() const;
+  ~TuneServeLoop() override;
 
  private:
-  void accept_loop();
-  void worker_loop(std::size_t w);
-  void serve_connection(Socket socket);
-  void answer_status_connection();
+  void handle_connection(Socket socket) override;
 
   const core::TunerService* service_;
   ServeOptions options_;
-  std::unique_ptr<Listener> listener_;
-  std::unique_ptr<Listener> status_listener_;
-  std::uint16_t port_ = 0;
-  std::uint16_t status_port_ = 0;
-  LoadBalancer<Socket> balancer_;
-  std::vector<std::thread> threads_;
-  Socket drain_pipe_r_;
-  Socket drain_pipe_w_;
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> started_{false};
   std::atomic<std::uint64_t> next_session_id_{0};
-
-  // Instruments live in the registry (lock-free on the hot path); the
-  // cached pointers stay valid for the loop's lifetime. The registry is
-  // mutable so metrics() const can refresh the wall-clock gauges.
-  mutable obs::MetricsRegistry registry_;
-  obs::Counter* accepted_;
-  obs::Counter* completed_;
-  obs::Counter* failed_;
+  // Cached from the server's registry; valid for the loop's lifetime.
   obs::Counter* chips_tuned_;
   obs::Counter* stimuli_;
-  obs::Counter* status_requests_;
-  obs::Gauge* active_sessions_;
-  obs::Gauge* wall_seconds_;
-  obs::Gauge* sessions_per_sec_;
   obs::Histogram* latency_;
-
-  // Wall-clock epoch, guarded by time_mutex_ (not on the session path).
-  mutable std::mutex time_mutex_;
-  std::chrono::steady_clock::time_point started_at_{};
-  std::chrono::steady_clock::time_point drained_at_{};
-  bool drained_ = false;
 };
 
 }  // namespace effitest::net

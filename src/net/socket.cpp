@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -34,6 +35,12 @@ sockaddr_in ipv4_address(const std::string& host, std::uint16_t port) {
     throw std::runtime_error("net: not an IPv4 address: \"" + host + "\"");
   }
   return addr;
+}
+
+/// See the header comment: no Nagle delay on line-at-a-time traffic.
+void set_nodelay(const Socket& s) {
+  const int one = 1;
+  (void)::setsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace
@@ -140,7 +147,9 @@ Socket Listener::accept() {
   do {
     fd = ::accept4(socket_.fd(), nullptr, nullptr, SOCK_CLOEXEC);
   } while (fd < 0 && errno == EINTR);
-  return Socket(fd);
+  Socket conn(fd);
+  if (conn.valid()) set_nodelay(conn);
+  return conn;
 }
 
 Socket connect_with_backoff(const std::string& host, std::uint16_t port,
@@ -181,6 +190,7 @@ Socket connect_to(const std::string& host, std::uint16_t port) {
   if (rc != 0) {
     throw_errno("net: connect " + host + ":" + std::to_string(port));
   }
+  set_nodelay(s);
   return s;
 }
 

@@ -11,6 +11,9 @@
 // `std::getline(stream, ...)` pushes the line onto the wire first. Sends
 // use MSG_NOSIGNAL so a peer that disappeared mid-session surfaces as
 // stream failure (badbit/eof), never as a process-killing SIGPIPE.
+// Every accepted or connected socket sets TCP_NODELAY: the protocols are
+// line-at-a-time request/response, and Nagle's algorithm would hold each
+// short write until the peer's delayed ACK.
 //
 // All of this is deliberately IPv4-loopback-grade: the serve mode binds
 // 127.0.0.1 by default and the bench drives in-process clients. Nothing

@@ -3,9 +3,10 @@
 // reports byte-for-byte — including a session whose worker dies mid-flight
 // and is replayed on a survivor, and a session whose worker process is
 // SIGKILL'd outright. Plus the failure edges (fleet exhaustion, seed
-// mismatch, deterministic worker rejections) and the fleet status
-// endpoints. Runs under the ThreadSanitizer CI label (`fleet`): the relay
-// is two threads per session against a shared registry.
+// mismatch, deterministic worker rejections), a drain that must finish
+// the session in flight, and the fleet status endpoints. Runs under the
+// ThreadSanitizer CI label (`fleet`): the relay is two threads per
+// session against a shared registry.
 //
 // Everything binds 127.0.0.1 port 0 (kernel-chosen), so parallel ctest
 // invocations never collide.
@@ -18,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +34,9 @@
 #include "net/serve.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/deterministic_for.hpp"
+#include "stats/rng.hpp"
+#include "timing/model.hpp"
 
 namespace {
 
@@ -277,6 +283,99 @@ TEST(FleetBalancer, WorkerRejectionIsForwardedAndNeverRetried) {
   const obs::RegistrySnapshot m = balancer.metrics();
   EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 1u);
   EXPECT_EQ(m.counter(fleet::kFleetSessionsRetried), 0u);
+}
+
+TEST(FleetBalancer, DrainFinishesInFlightSessions) {
+  // The shared SessionServer drain, through the relay handler: the
+  // session is provably in flight (greeting relayed) before the drain
+  // lands, and only answered after. It must finish with the golden
+  // reports while the balancer's listener is already gone.
+  net::ServeOptions soptions;
+  soptions.workers = 1;
+  net::TuneServeLoop worker(holder().service, soptions);
+  worker.start();
+
+  fleet::WorkerRegistry registry;
+  (void)registry.add_worker({worker.host(), worker.port()});
+  fleet::FleetBalancer balancer(registry, fast_options());
+  balancer.start();
+
+  constexpr std::size_t kChips = 2;
+  const std::vector<std::string> golden = simulated_report_lines(kChips);
+
+  net::SocketStream stream(net::connect_to("127.0.0.1", balancer.port()));
+  stream << "hello effitest-tune-v1 chips=" << kChips << '\n';
+  stream.flush();
+  std::string line;
+  ASSERT_TRUE(std::getline(stream, line));
+  ASSERT_EQ(line.rfind("serve ", 0), 0u) << line;
+  const std::uint64_t seed = std::stoull(line.substr(line.rfind("seed=") + 5));
+
+  balancer.request_drain();  // listener closes NOW; this session must survive
+
+  timing::SampleWorkspace ws;
+  std::vector<timing::Chip> dies;
+  std::vector<core::SimulatedChip> testers;
+  for (std::size_t c = 0; c < kChips; ++c) {
+    stats::Rng rng(parallel::index_seed(seed, c));
+    dies.push_back(holder().model.sample_chip(rng, ws));
+  }
+  for (std::size_t c = 0; c < kChips; ++c) {
+    testers.emplace_back(holder().problem, dies[c]);
+  }
+  std::vector<std::string> reports;
+  while (std::getline(stream, line)) {
+    if (line == "bye") break;
+    if (line.rfind("report ", 0) == 0) {
+      reports.push_back(line);
+      continue;
+    }
+    std::istringstream is(line);
+    std::string tag;
+    is >> tag;
+    if (tag != "stimulus" && tag != "final") continue;
+    std::size_t chip = 0, seq = 0;
+    std::string marker;
+    core::Stimulus stim;
+    ASSERT_TRUE(is >> chip >> seq >> stim.period >> marker);
+    std::string token;
+    bool in_arm = false;
+    while (is >> token) {
+      if (token == "arm") {
+        in_arm = true;
+      } else if (in_arm) {
+        stim.armed.push_back(std::stoul(token));
+      } else {
+        stim.steps.push_back(std::stoi(token));
+      }
+    }
+    std::vector<bool> pass;
+    if (tag == "final") {
+      pass.assign(1, testers[chip].final_test(stim.period, stim.steps));
+    } else {
+      pass = testers[chip].apply(stim);
+    }
+    std::string bits(pass.size(), '0');
+    for (std::size_t i = 0; i < pass.size(); ++i) {
+      if (pass[i]) bits[i] = '1';
+    }
+    stream << "response " << chip << ' ' << seq << ' ' << bits << '\n';
+  }
+  balancer.wait();
+  worker.request_drain();
+  worker.wait();
+
+  EXPECT_EQ(line, "bye");
+  EXPECT_EQ(sorted_by_chip(reports), golden);
+  const obs::RegistrySnapshot m = balancer.metrics();
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsCompleted), 1u);
+  EXPECT_EQ(m.counter(fleet::kFleetSessionsFailed), 0u);
+  EXPECT_EQ(m.gauge(fleet::kFleetActiveSessions), 0.0);
+
+  // And the balancer's listener really is gone: a late connection is
+  // refused (or reset), never queued.
+  EXPECT_THROW((void)net::connect_to("127.0.0.1", balancer.port()),
+               std::runtime_error);
 }
 
 io::json::Value parse_status(const std::string& line) {

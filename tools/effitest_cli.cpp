@@ -1216,13 +1216,55 @@ int cmd_tune(const Cli& cli) {
   return 0;
 }
 
-/// SIGTERM/SIGINT target for `serve` — the handler may only do what
-/// request_drain() guarantees is async-signal-safe (atomic store plus one
-/// pipe write).
-net::TuneServeLoop* g_serve_loop = nullptr;
+/// The listener/drain flags `serve` and `balance` share
+/// (net::ServerOptions).
+void parse_server_options(const Cli& cli, net::ServerOptions& options) {
+  if (const auto host = cli.get("host")) options.host = *host;
+  if (const auto port = cli.get("port")) {
+    options.port = parse_port("port", *port);
+  }
+  if (const auto status_port = cli.get("status-port")) {
+    options.status_port =
+        static_cast<int>(parse_port("status-port", *status_port));
+  }
+  if (const auto pending = cli.get("max-pending")) {
+    options.max_pending = parse_size("max-pending", *pending);
+  }
+  if (const auto sessions = cli.get("max-sessions")) {
+    options.max_sessions = parse_size("max-sessions", *sessions);
+  }
+  if (const auto timeout = cli.get("io-timeout")) {
+    options.io_timeout_seconds = parse_double("io-timeout", *timeout);
+  }
+}
 
-extern "C" void serve_signal_handler(int) {
-  if (g_serve_loop != nullptr) g_serve_loop->request_drain();
+/// SIGTERM/SIGINT drain hook for `serve` and `balance` — the handler may
+/// only do what request_drain() guarantees is async-signal-safe (atomic
+/// store plus one pipe write).
+net::SessionServer* g_draining_server = nullptr;
+
+extern "C" void drain_signal_handler(int) {
+  if (g_draining_server != nullptr) g_draining_server->request_drain();
+}
+
+/// The lifetime of a started `server`: route SIGTERM/SIGINT to its
+/// request_drain(), print the banner scripts wait for (std::endl flushes,
+/// so a pipe reader sees it before the first session lands) and block in
+/// wait() until the last session finished.
+void run_until_drained(net::SessionServer& server, const char* verb) {
+  g_draining_server = &server;
+  std::signal(SIGTERM, drain_signal_handler);
+  std::signal(SIGINT, drain_signal_handler);
+  std::cout << verb << " on " << server.host() << ":" << server.port()
+            << std::endl;
+  if (server.status_port() != 0) {  // 0 = no status listener
+    std::cout << "status on " << server.host() << ":" << server.status_port()
+              << std::endl;
+  }
+  server.wait();
+  std::signal(SIGTERM, SIG_DFL);
+  std::signal(SIGINT, SIG_DFL);
+  g_draining_server = nullptr;
 }
 
 int cmd_serve(const Cli& cli) {
@@ -1231,34 +1273,18 @@ int cmd_serve(const Cli& cli) {
   const LogSink sink = make_structured_log(cli);
   net::ServeOptions sopts;
   sopts.log = sink.log;
-  if (const auto host = cli.get("host")) sopts.host = *host;
-  if (const auto port = cli.get("port")) {
-    sopts.port = parse_port("port", *port);
-  }
-  if (const auto status_port = cli.get("status-port")) {
-    sopts.status_port =
-        static_cast<int>(parse_port("status-port", *status_port));
-  }
+  parse_server_options(cli, sopts);
   if (const auto workers = cli.get("workers")) {
     sopts.workers = parse_size("workers", *workers);
     if (sopts.workers == 0) {
       throw UsageError("--workers must be at least 1");
     }
   }
-  if (const auto pending = cli.get("max-pending")) {
-    sopts.max_pending = parse_size("max-pending", *pending);
-  }
   if (const auto window = cli.get("window")) {
     sopts.chip_window = parse_size("window", *window);
   }
   if (const auto chips = cli.get("max-chips")) {
     sopts.max_chips_per_session = parse_size("max-chips", *chips);
-  }
-  if (const auto sessions = cli.get("max-sessions")) {
-    sopts.max_sessions = parse_size("max-sessions", *sessions);
-  }
-  if (const auto timeout = cli.get("io-timeout")) {
-    sopts.io_timeout_seconds = parse_double("io-timeout", *timeout);
   }
 
   const auto circuit = provision_circuit(cli);
@@ -1271,21 +1297,7 @@ int cmd_serve(const Cli& cli) {
 
   net::TuneServeLoop loop(service, sopts);
   loop.start();
-  g_serve_loop = &loop;
-  std::signal(SIGTERM, serve_signal_handler);
-  std::signal(SIGINT, serve_signal_handler);
-  // The line scripts (and the CI smoke step) wait for; std::endl flushes so
-  // a pipe reader sees it before the first session lands.
-  std::cout << "serving on " << loop.host() << ":" << loop.port()
-            << std::endl;
-  if (sopts.status_port >= 0) {
-    std::cout << "status on " << loop.host() << ":" << loop.status_port()
-              << std::endl;
-  }
-  loop.wait();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  g_serve_loop = nullptr;
+  run_until_drained(loop, "serving");
 
   const obs::RegistrySnapshot m = loop.metrics();
   const obs::HistogramSnapshot* latency =
@@ -1306,16 +1318,6 @@ int cmd_serve(const Cli& cli) {
             << core::Table::num(latency_ms(0.90), 2) << "/"
             << core::Table::num(latency_ms(0.99), 2) << " ms\n";
   return 0;
-}
-
-/// SIGTERM/SIGINT target for `balance` — same async-signal-safety story as
-/// serve's handler: only the balancer's request_drain() is signal-safe.
-/// Supervisor drain (kill/waitpid/join) happens on the main thread after
-/// the balancer's wait() returns.
-fleet::FleetBalancer* g_fleet_balancer = nullptr;
-
-extern "C" void balance_signal_handler(int) {
-  if (g_fleet_balancer != nullptr) g_fleet_balancer->request_drain();
 }
 
 int cmd_balance(const Cli& cli) {
@@ -1397,31 +1399,15 @@ int cmd_balance(const Cli& cli) {
 
   fleet::BalancerOptions bopts;
   bopts.log = sink.log;
-  if (const auto host = cli.get("host")) bopts.host = *host;
-  if (const auto port = cli.get("port")) {
-    bopts.port = parse_port("port", *port);
-  }
-  if (const auto status_port = cli.get("status-port")) {
-    bopts.status_port =
-        static_cast<int>(parse_port("status-port", *status_port));
-  }
+  parse_server_options(cli, bopts);
   if (const auto relay = cli.get("relay-workers")) {
     bopts.relay_workers = parse_size("relay-workers", *relay);
     if (bopts.relay_workers == 0) {
       throw UsageError("--relay-workers must be at least 1");
     }
   }
-  if (const auto pending = cli.get("max-pending")) {
-    bopts.max_pending = parse_size("max-pending", *pending);
-  }
-  if (const auto sessions = cli.get("max-sessions")) {
-    bopts.max_sessions = parse_size("max-sessions", *sessions);
-  }
   if (const auto retries = cli.get("retries")) {
     bopts.max_session_retries = parse_size("retries", *retries);
-  }
-  if (const auto timeout = cli.get("io-timeout")) {
-    bopts.io_timeout_seconds = parse_double("io-timeout", *timeout);
   }
 
   // All registry slots exist by here (the FleetBalancer per-slot gauge
@@ -1430,19 +1416,9 @@ int cmd_balance(const Cli& cli) {
   if (supervisor != nullptr) supervisor->start();  // blocks until banners
   registry.start_probing();
   balancer.start();
-  g_fleet_balancer = &balancer;
-  std::signal(SIGTERM, balance_signal_handler);
-  std::signal(SIGINT, balance_signal_handler);
-  std::cout << "balancing on " << balancer.host() << ":" << balancer.port()
-            << std::endl;
-  if (bopts.status_port >= 0) {
-    std::cout << "status on " << balancer.host() << ":"
-              << balancer.status_port() << std::endl;
-  }
-  balancer.wait();
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  g_fleet_balancer = nullptr;
+  // Supervisor drain (kill/waitpid/join) happens below on the main thread,
+  // after the balancer's wait() returns — never in the signal handler.
+  run_until_drained(balancer, "balancing");
   registry.stop_probing();
   if (supervisor != nullptr) supervisor->drain();
 
