@@ -203,6 +203,29 @@ void BM_AlignmentCoordinateDescent(benchmark::State& state) {
 }
 BENCHMARK(BM_AlignmentCoordinateDescent);
 
+// The tester loop's form: one workspace reused across solves, so only the
+// first iteration allocates.
+void BM_AlignmentCoordinateDescentReuse(benchmark::State& state) {
+  const FlowFixture& f = FlowFixture::get();
+  stats::Rng rng(5);
+  core::AlignmentInstance inst;
+  inst.problem = &f.problem;
+  inst.current_steps = f.problem.neutral_steps();
+  const auto means = f.model.max_means();
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto p = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(means.size()) - 1));
+    inst.entries.push_back(core::AlignmentEntry{
+        means[p], 1.0, f.problem.src_buffer(p), f.problem.dst_buffer(p)});
+  }
+  core::AlignmentWorkspace workspace;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&core::solve_alignment(
+        inst, core::AlignMethod::kCoordinateDescent, {}, workspace));
+  }
+}
+BENCHMARK(BM_AlignmentCoordinateDescentReuse);
+
 void BM_AlignmentMilp(benchmark::State& state) {
   const FlowFixture& f = FlowFixture::get();
   stats::Rng rng(6);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -37,21 +38,24 @@ bool hold_ok(const AlignmentInstance& inst, std::span<const int> steps) {
   return true;
 }
 
-/// Sorted static point set with prefix sums: evaluates sum(w |T - m|) and
-/// proposes weighted-median candidates in O(log n).
+/// The workspace's static point set, sorted, with prefix sums: evaluates
+/// sum(w |T - m|) and proposes weighted-median candidates in O(log n).
 class StaticPoints {
  public:
-  void build(std::vector<std::pair<double, double>> pts) {
-    std::sort(pts.begin(), pts.end());
-    m_.resize(pts.size());
-    prefix_w_.resize(pts.size() + 1);
-    prefix_wm_.resize(pts.size() + 1);
+  explicit StaticPoints(AlignmentWorkspace& ws)
+      : pts_(ws.points), prefix_w_(ws.prefix_w), prefix_wm_(ws.prefix_wm) {}
+
+  /// Sort the (center, weight) points gathered in the workspace and
+  /// rebuild the prefix sums.
+  void build() {
+    std::sort(pts_.begin(), pts_.end());
+    prefix_w_.resize(pts_.size() + 1);
+    prefix_wm_.resize(pts_.size() + 1);
     prefix_w_[0] = 0.0;
     prefix_wm_[0] = 0.0;
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-      m_[i] = pts[i].first;
-      prefix_w_[i + 1] = prefix_w_[i] + pts[i].second;
-      prefix_wm_[i + 1] = prefix_wm_[i] + pts[i].second * pts[i].first;
+    for (std::size_t i = 0; i < pts_.size(); ++i) {
+      prefix_w_[i + 1] = prefix_w_[i] + pts_[i].second;
+      prefix_wm_[i + 1] = prefix_wm_[i] + pts_[i].second * pts_[i].first;
     }
   }
 
@@ -62,7 +66,11 @@ class StaticPoints {
   /// sum over static points of w * |T - m|.
   [[nodiscard]] double objective(double t) const {
     const std::size_t k = static_cast<std::size_t>(
-        std::upper_bound(m_.begin(), m_.end(), t) - m_.begin());
+        std::upper_bound(pts_.begin(), pts_.end(), t,
+                         [](double v, const std::pair<double, double>& p) {
+                           return v < p.first;
+                         }) -
+        pts_.begin());
     const double left = t * prefix_w_[k] - prefix_wm_[k];
     const double right = (prefix_wm_.back() - prefix_wm_[k]) -
                          t * (prefix_w_.back() - prefix_w_[k]);
@@ -71,156 +79,208 @@ class StaticPoints {
 
   /// Static point whose cumulative weight first reaches `target`.
   [[nodiscard]] double point_at_mass(double target) const {
-    if (m_.empty()) return 0.0;
+    if (pts_.empty()) return 0.0;
     const std::size_t k = static_cast<std::size_t>(
         std::lower_bound(prefix_w_.begin() + 1, prefix_w_.end(), target) -
         (prefix_w_.begin() + 1));
-    return m_[std::min(k, m_.size() - 1)];
+    return pts_[std::min(k, pts_.size() - 1)].first;
   }
 
-  [[nodiscard]] bool empty() const { return m_.empty(); }
+  [[nodiscard]] bool empty() const { return pts_.empty(); }
 
  private:
-  std::vector<double> m_;
-  std::vector<double> prefix_w_;
-  std::vector<double> prefix_wm_;
+  std::vector<std::pair<double, double>>& pts_;
+  std::vector<double>& prefix_w_;
+  std::vector<double>& prefix_wm_;
 };
 
-AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst) {
+/// The L1 optimum over a point multiset (static via prefix sums, dynamic
+/// explicit) sits on one of the points. Candidates are the dynamic points
+/// plus the static mass-crossings for every possible split of the dynamic
+/// weight. Those crossings and their static objective depend only on the
+/// static set and the dynamic weights, so hoist_static() computes them once
+/// per static set and best_period() reuses them for every dynamic position.
+void hoist_static(const StaticPoints& stat,
+                  std::span<const std::pair<double, double>> dyn,
+                  AlignmentWorkspace& ws) {
+  double dyn_w = 0.0;
+  for (const auto& [m, w] : dyn) dyn_w += w;
+  const double half = 0.5 * (stat.total_weight() + dyn_w);
+  ws.static_t.clear();
+  ws.static_obj.clear();
+  if (stat.empty()) return;
+  double left_dyn = 0.0;
+  ws.static_t.push_back(stat.point_at_mass(half));
+  for (const auto& [m, w] : dyn) {
+    left_dyn += w;
+    ws.static_t.push_back(stat.point_at_mass(half - left_dyn));
+  }
+  for (double t : ws.static_t) ws.static_obj.push_back(stat.objective(t));
+}
+
+/// Best (T, objective) over the dynamic points (in order), then the hoisted
+/// static candidates; the first strict minimum wins.
+std::pair<double, double> best_period(
+    const StaticPoints& stat, std::span<const std::pair<double, double>> dyn,
+    const AlignmentWorkspace& ws) {
+  double best_t = !dyn.empty()             ? dyn.front().first
+                  : !ws.static_t.empty() ? ws.static_t.front()
+                                         : 0.0;
+  double best_obj = std::numeric_limits<double>::infinity();
+  const auto consider = [&](double t, double obj) {
+    for (const auto& [m, w] : dyn) obj += w * std::abs(t - m);
+    if (obj < best_obj) {
+      best_obj = obj;
+      best_t = t;
+    }
+  };
+  for (const auto& [t, w] : dyn) consider(t, stat.objective(t));
+  for (std::size_t j = 0; j < ws.static_t.size(); ++j) {
+    consider(ws.static_t[j], ws.static_obj[j]);
+  }
+  return {best_t, best_obj};
+}
+
+void solve_coordinate_descent(const AlignmentInstance& inst,
+                              AlignmentWorkspace& ws) {
   const Problem& problem = *inst.problem;
-  AlignmentResult out;
-  out.steps = inst.current_steps;
-  out.feasible = hold_ok(inst, out.steps);
+  AlignmentResult& out = ws.result;
+  out.steps.assign(inst.current_steps.begin(), inst.current_steps.end());
 
   // Buffers that may move: those referenced by an entry.
-  std::set<int> involved_set;
+  std::vector<int>& involved = ws.involved;
+  involved.clear();
   if (inst.allow_buffer_moves) {
     for (const AlignmentEntry& e : inst.entries) {
-      if (e.src_buf >= 0) involved_set.insert(e.src_buf);
-      if (e.dst_buf >= 0) involved_set.insert(e.dst_buf);
+      if (e.src_buf >= 0) involved.push_back(e.src_buf);
+      if (e.dst_buf >= 0) involved.push_back(e.dst_buf);
     }
+    std::sort(involved.begin(), involved.end());
+    involved.erase(std::unique(involved.begin(), involved.end()),
+                   involved.end());
   }
-  const std::vector<int> involved(involved_set.begin(), involved_set.end());
 
   // Entries / hold bounds touching each movable buffer, precomputed once.
   // In a legal batch a buffer touches at most two entries (its FF appears
   // once as source and once as sink), which is what makes the prefix-sum
   // scan below cheap. Moving buffer b cannot change the state of hold
   // bounds that do not reference b, so only those are rechecked per step.
-  std::vector<std::vector<std::size_t>> dyn_of(involved.size());
-  std::vector<std::vector<std::size_t>> hold_of(involved.size());
-  for (std::size_t v = 0; v < involved.size(); ++v) {
-    const int b = involved[v];
+  ws.dyn_begin.assign(1, 0);
+  ws.dyn_entries.clear();
+  ws.hold_begin.assign(1, 0);
+  ws.hold_entries.clear();
+  for (const int b : involved) {
     for (std::size_t i = 0; i < inst.entries.size(); ++i) {
       if (inst.entries[i].src_buf == b || inst.entries[i].dst_buf == b) {
-        dyn_of[v].push_back(i);
+        ws.dyn_entries.push_back(i);
       }
     }
+    ws.dyn_begin.push_back(ws.dyn_entries.size());
     for (std::size_t h = 0; h < inst.hold.size(); ++h) {
       if (inst.hold[h].src_buf == b || inst.hold[h].dst_buf == b) {
-        hold_of[v].push_back(h);
+        ws.hold_entries.push_back(h);
       }
     }
+    ws.hold_begin.push_back(ws.hold_entries.size());
   }
+
+  // TunableBuffer::value(k) is r + step_size() * k; the step size (a
+  // division) is computed once per buffer, the rest exactly as value() does.
+  ws.step_size.clear();
+  for (const TunableBuffer& buf : problem.buffers()) {
+    ws.step_size.push_back(buf.step_size());
+  }
+  const auto x = [&](std::span<const int> steps, int buf) {
+    if (buf < 0) return 0.0;
+    const auto bi = static_cast<std::size_t>(buf);
+    return problem.buffers()[bi].r + ws.step_size[bi] * steps[bi];
+  };
   const auto hold_ok_for = [&](std::span<const std::size_t> idx,
                                std::span<const int> steps) {
     for (std::size_t h : idx) {
       const HoldConstraintX& hc = inst.hold[h];
-      const double skew = x_of(problem, steps, hc.src_buf) -
-                          x_of(problem, steps, hc.dst_buf);
+      const double skew = x(steps, hc.src_buf) - x(steps, hc.dst_buf);
       if (skew < hc.lambda - 1e-9) return false;
     }
     return true;
   };
 
   const auto shifted = [&](const AlignmentEntry& e, std::span<const int> steps) {
-    return e.center + x_of(problem, steps, e.src_buf) -
-           x_of(problem, steps, e.dst_buf);
+    return e.center + x(steps, e.src_buf) - x(steps, e.dst_buf);
   };
 
-  // Best (T, objective) for the point multiset (static via prefix sums,
-  // dynamic explicit). The L1 optimum sits on one of the points; candidates
-  // are the dynamic points plus the static mass-crossings for every possible
-  // split of the dynamic weight.
-  const auto best_period = [&](const StaticPoints& stat,
-                               std::span<const std::pair<double, double>> dyn) {
-    double dyn_w = 0.0;
-    for (const auto& [m, w] : dyn) dyn_w += w;
-    const double half = 0.5 * (stat.total_weight() + dyn_w);
-    std::vector<double> candidates;
-    for (const auto& [m, w] : dyn) candidates.push_back(m);
-    if (!stat.empty()) {
-      double left_dyn = 0.0;
-      candidates.push_back(stat.point_at_mass(half));
-      for (const auto& [m, w] : dyn) {
-        left_dyn += w;
-        candidates.push_back(stat.point_at_mass(half - left_dyn));
-      }
-    }
-    double best_t = candidates.empty() ? 0.0 : candidates.front();
-    double best_obj = std::numeric_limits<double>::infinity();
-    for (double t : candidates) {
-      double obj = stat.objective(t);
-      for (const auto& [m, w] : dyn) obj += w * std::abs(t - m);
-      if (obj < best_obj) {
-        best_obj = obj;
-        best_t = t;
-      }
-    }
-    return std::make_pair(best_t, best_obj);
-  };
-
+  StaticPoints stat(ws);
   {
     // Initial (T, objective) with everything static.
-    StaticPoints all;
-    std::vector<std::pair<double, double>> pts;
-    pts.reserve(inst.entries.size());
+    ws.points.clear();
     for (const AlignmentEntry& e : inst.entries) {
-      pts.emplace_back(shifted(e, out.steps), e.weight);
+      ws.points.emplace_back(shifted(e, out.steps), e.weight);
     }
-    all.build(std::move(pts));
-    const auto [t, obj] = best_period(all, {});
+    stat.build();
+    hoist_static(stat, {}, ws);
+    const auto [t, obj] = best_period(stat, {}, ws);
     out.period = t;
     out.objective = obj;
   }
   double best = out.objective;
 
-  for (int round = 0; round < 32; ++round) {
-    bool changed = false;
-    for (std::size_t v = 0; v < involved.size(); ++v) {
-      const int b = involved[v];
-      const auto bi = static_cast<std::size_t>(b);
+  // Rounds over the movable buffers until a full round moves nothing (at
+  // most 32). A scan that moves nothing has no side effect, and a scan
+  // reads only the steps and `best`, which change only on a move. So once
+  // every buffer has been scanned in a row without a move (`quiet`), each
+  // remaining scan of that last round would replay a no-move scan exactly:
+  // stopping there gives the same result as finishing the round.
+  std::size_t quiet = 0;
+  for (int round = 0; round < 32 && quiet < involved.size(); ++round) {
+    for (std::size_t v = 0; v < involved.size() && quiet < involved.size();
+         ++v) {
+      const auto bi = static_cast<std::size_t>(involved[v]);
       const TunableBuffer& buf = problem.buffers()[bi];
-      const std::vector<std::size_t>& dyn_idx = dyn_of[v];
+      const std::span<const std::size_t> dyn_idx =
+          std::span<const std::size_t>(ws.dyn_entries)
+              .subspan(ws.dyn_begin[v], ws.dyn_begin[v + 1] - ws.dyn_begin[v]);
+      const std::span<const std::size_t> hold_idx =
+          std::span<const std::size_t>(ws.hold_entries)
+              .subspan(ws.hold_begin[v],
+                       ws.hold_begin[v + 1] - ws.hold_begin[v]);
 
-      // Static part: every entry not touching b, at the current steps.
-      StaticPoints stat;
-      {
-        std::vector<std::pair<double, double>> pts;
-        pts.reserve(inst.entries.size());
+      // Static part: every entry not touching b, at the current steps. It
+      // is built on the first hold-feasible step, with its candidates.
+      bool static_ready = false;
+      const auto prepare_static = [&] {
+        ws.points.clear();
+        std::size_t next_dyn = 0;
         for (std::size_t i = 0; i < inst.entries.size(); ++i) {
-          if (std::find(dyn_idx.begin(), dyn_idx.end(), i) != dyn_idx.end()) {
+          if (next_dyn < dyn_idx.size() && dyn_idx[next_dyn] == i) {
+            ++next_dyn;
             continue;
           }
-          pts.emplace_back(shifted(inst.entries[i], out.steps),
-                           inst.entries[i].weight);
+          ws.points.emplace_back(shifted(inst.entries[i], out.steps),
+                                 inst.entries[i].weight);
         }
-        stat.build(std::move(pts));
-      }
+        stat.build();
+        hoist_static(stat, ws.dyn, ws);
+        static_ready = true;
+      };
 
+      // Dynamic part: the entries touching b. Their weights are fixed;
+      // their shifted centers move with b's step.
+      ws.dyn.clear();
+      for (std::size_t i : dyn_idx) {
+        ws.dyn.emplace_back(0.0, inst.entries[i].weight);
+      }
       const int saved = out.steps[bi];
       int best_step = saved;
       double best_t = out.period;
-      std::vector<std::pair<double, double>> dyn(dyn_idx.size());
       for (int k = 0; k < buf.steps; ++k) {
         if (k == saved) continue;
         out.steps[bi] = k;
-        if (!hold_ok_for(hold_of[v], out.steps)) continue;
+        if (!hold_ok_for(hold_idx, out.steps)) continue;
+        if (!static_ready) prepare_static();
         for (std::size_t d = 0; d < dyn_idx.size(); ++d) {
-          dyn[d] = {shifted(inst.entries[dyn_idx[d]], out.steps),
-                    inst.entries[dyn_idx[d]].weight};
+          ws.dyn[d].first = shifted(inst.entries[dyn_idx[d]], out.steps);
         }
-        const auto [t, obj] = best_period(stat, dyn);
+        const auto [t, obj] = best_period(stat, ws.dyn, ws);
         if (obj < best - 1e-12) {
           best = obj;
           best_step = k;
@@ -230,14 +290,14 @@ AlignmentResult solve_coordinate_descent(const AlignmentInstance& inst) {
       out.steps[bi] = best_step;
       if (best_step != saved) {
         out.period = best_t;
-        changed = true;
+        quiet = 0;
+      } else {
+        ++quiet;
       }
     }
-    if (!changed) break;
   }
   out.objective = best;
   out.feasible = hold_ok(inst, out.steps);
-  return out;
 }
 
 /// Shared MILP scaffolding: builds variables T and s_b, returns via the
@@ -382,7 +442,7 @@ AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
   out.steps = inst.current_steps;
   if (!sol.feasible()) {
     out.feasible = false;
-    // Fall back to the current state with a median period.
+    // Fall back to the current state, with the first entry's center as T.
     out.period = inst.entries.empty() ? 0.0 : inst.entries.front().center;
     out.objective = objective_of(inst, out.period, out.steps);
     return out;
@@ -402,30 +462,51 @@ AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
 
 std::vector<double> middle_out_weights(std::span<const double> centers,
                                        double k0, double kd) {
+  std::vector<double> weights;
+  std::vector<std::size_t> order;
+  middle_out_weights(centers, k0, kd, weights, order);
+  return weights;
+}
+
+void middle_out_weights(std::span<const double> centers, double k0, double kd,
+                        std::vector<double>& weights,
+                        std::vector<std::size_t>& order) {
   const std::size_t n = centers.size();
-  std::vector<std::size_t> order(n);
+  order.resize(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return centers[a] < centers[b];
+    return centers[a] < centers[b] || (centers[a] == centers[b] && a < b);
   });
-  std::vector<double> weights(n, kd);
+  weights.assign(n, kd);
   const double mid = (static_cast<double>(n) - 1.0) / 2.0;
   for (std::size_t rank = 0; rank < n; ++rank) {
     const double dist = std::abs(static_cast<double>(rank) - mid);
     weights[order[rank]] = std::max(k0 - kd * dist, kd);
   }
-  return weights;
 }
 
 AlignmentResult solve_alignment(const AlignmentInstance& instance,
                                 AlignMethod method,
                                 const lp::SolveOptions& lp_options) {
+  AlignmentWorkspace workspace;
+  solve_alignment(instance, method, lp_options, workspace);
+  return std::move(workspace.result);
+}
+
+const AlignmentResult& solve_alignment(const AlignmentInstance& instance,
+                                       AlignMethod method,
+                                       const lp::SolveOptions& lp_options,
+                                       AlignmentWorkspace& workspace) {
   if (instance.problem == nullptr) {
     throw std::invalid_argument("solve_alignment: missing problem");
   }
+  AlignmentResult& out = workspace.result;
   if (instance.entries.empty()) {
-    AlignmentResult out;
-    out.steps = instance.current_steps;
+    out.period = 0.0;
+    out.steps.assign(instance.current_steps.begin(),
+                     instance.current_steps.end());
+    out.objective = 0.0;
+    out.feasible = true;
     return out;
   }
   if (instance.current_steps.size() != instance.problem->num_buffers()) {
@@ -433,11 +514,14 @@ AlignmentResult solve_alignment(const AlignmentInstance& instance,
   }
   switch (method) {
     case AlignMethod::kCoordinateDescent:
-      return solve_coordinate_descent(instance);
+      solve_coordinate_descent(instance, workspace);
+      return out;
     case AlignMethod::kMilpCompact:
-      return solve_milp(instance, /*big_m=*/false, lp_options);
+      out = solve_milp(instance, /*big_m=*/false, lp_options);
+      return out;
     case AlignMethod::kMilpBigM:
-      return solve_milp(instance, /*big_m=*/true, lp_options);
+      out = solve_milp(instance, /*big_m=*/true, lp_options);
+      return out;
   }
   throw std::logic_error("solve_alignment: unknown method");
 }

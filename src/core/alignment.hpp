@@ -24,8 +24,10 @@
 // and decrease by kd per rank outward (k0 >> kd), which breaks the
 // degenerate non-overlapping case of Fig. 6e.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -73,13 +75,55 @@ enum class AlignMethod : std::uint8_t {
   kMilpBigM,
 };
 
+/// Reusable scratch for repeated alignment solves. Purely an allocation
+/// cache, like timing::SampleWorkspace: results never depend on what it
+/// held before. Keep one per tester loop.
+struct AlignmentWorkspace {
+  /// buffers()[b].step_size(), so a buffer value costs no division.
+  std::vector<double> step_size;
+  /// Movable buffers, ascending and de-duplicated.
+  std::vector<int> involved;
+  /// Entries / hold bounds touching involved[v]:
+  /// dyn_entries[dyn_begin[v] .. dyn_begin[v + 1]), likewise for hold.
+  std::vector<std::size_t> dyn_begin;
+  std::vector<std::size_t> dyn_entries;
+  std::vector<std::size_t> hold_begin;
+  std::vector<std::size_t> hold_entries;
+  /// Static point set: (shifted center, weight), sorted, with prefix sums.
+  std::vector<std::pair<double, double>> points;
+  std::vector<double> prefix_w;
+  std::vector<double> prefix_wm;
+  /// Per-step dynamic points and the step-invariant static candidates
+  /// with their static objective.
+  std::vector<std::pair<double, double>> dyn;
+  std::vector<double> static_t;
+  std::vector<double> static_obj;
+  /// Last result; valid until the next solve with this workspace.
+  AlignmentResult result;
+};
+
 /// Middle-out weight assignment over range centers (k0 to the median center,
-/// decreasing by kd per rank outward; floored at kd).
+/// decreasing by kd per rank outward; floored at kd). Tied centers are
+/// ranked by index, so the result does not depend on the sort algorithm.
 [[nodiscard]] std::vector<double> middle_out_weights(
     std::span<const double> centers, double k0, double kd);
+
+/// Allocation-free form: fills `weights` (resized to centers.size()) using
+/// `order` as scratch.
+void middle_out_weights(std::span<const double> centers, double k0, double kd,
+                        std::vector<double>& weights,
+                        std::vector<std::size_t>& order);
 
 [[nodiscard]] AlignmentResult solve_alignment(
     const AlignmentInstance& instance, AlignMethod method,
     const lp::SolveOptions& lp_options = {});
+
+/// Same solve, reusing `workspace`; the coordinate-descent path does no
+/// heap allocation once the workspace has grown to the instance size. The
+/// returned reference is `workspace.result`.
+const AlignmentResult& solve_alignment(const AlignmentInstance& instance,
+                                       AlignMethod method,
+                                       const lp::SolveOptions& lp_options,
+                                       AlignmentWorkspace& workspace);
 
 }  // namespace effitest::core

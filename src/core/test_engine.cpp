@@ -38,10 +38,7 @@ DelayTestMachine::DelayTestMachine(const Problem& problem,
                                    std::span<const double> prior_upper,
                                    std::span<const HoldConstraintX> hold,
                                    const TestOptions& options)
-    : problem_(&problem),
-      batches_(&batches),
-      hold_(hold.begin(), hold.end()),
-      options_(options) {
+    : problem_(&problem), batches_(&batches), options_(options) {
   const std::size_t np = problem.model().num_pairs();
   if (prior_lower.size() != np || prior_upper.size() != np) {
     throw std::invalid_argument(
@@ -51,6 +48,10 @@ DelayTestMachine::DelayTestMachine(const Problem& problem,
   result_.upper.assign(prior_upper.begin(), prior_upper.end());
   result_.tested.assign(np, false);
   result_.final_steps = problem.neutral_steps();
+  inst_.problem = &problem;
+  inst_.hold.assign(hold.begin(), hold.end());
+  inst_.current_steps = result_.final_steps;
+  inst_.allow_buffer_moves = options_.align_with_buffers;
   settle();
 }
 
@@ -91,35 +92,32 @@ const Stimulus& DelayTestMachine::next_stimulus() {
   }
   if (stimulus_ready_) return stimulus_;
 
-  // Build the alignment instance over the still-unresolved paths.
-  AlignmentInstance inst;
-  inst.problem = problem_;
-  inst.current_steps = result_.final_steps;
-  inst.allow_buffer_moves = options_.align_with_buffers;
-  inst.hold = hold_;
-  std::vector<double> centers;
-  centers.reserve(active_.size());
+  // Refill the alignment instance in place over the still-unresolved paths.
+  centers_.clear();
   for (std::size_t p : active_) {
-    centers.push_back(0.5 * (result_.lower[p] + result_.upper[p]));
+    centers_.push_back(0.5 * (result_.lower[p] + result_.upper[p]));
   }
-  const std::vector<double> weights =
-      middle_out_weights(centers, options_.k0, options_.kd);
+  middle_out_weights(centers_, options_.k0, options_.kd, weights_, order_);
+  inst_.entries.resize(active_.size());
   for (std::size_t i = 0; i < active_.size(); ++i) {
     const std::size_t p = active_[i];
-    inst.entries.push_back(AlignmentEntry{centers[i], weights[i],
-                                          problem_->src_buffer(p),
-                                          problem_->dst_buffer(p)});
+    inst_.entries[i] = AlignmentEntry{centers_[i], weights_[i],
+                                      problem_->src_buffer(p),
+                                      problem_->dst_buffer(p)};
   }
 
   const auto t0 = Clock::now();
-  const AlignmentResult aligned =
-      solve_alignment(inst, options_.method, options_.lp);
+  solve_alignment(inst_, options_.method, options_.lp, workspace_);
   result_.align_seconds += seconds_since(t0);
+  AlignmentResult& aligned = workspace_.result;
   result_.final_steps = aligned.steps;
 
   stimulus_.period = aligned.period;
   stimulus_.steps = aligned.steps;
   stimulus_.armed = active_;
+  // The programmed steps are the next solve's starting point; the
+  // workspace's copy is overwritten by that solve anyway.
+  inst_.current_steps.swap(aligned.steps);
   stimulus_ready_ = true;
   return stimulus_;
 }
@@ -135,7 +133,7 @@ void DelayTestMachine::record_response(const std::vector<bool>& pass) {
   }
   ++result_.iterations;
   ++batch_iters_;
-  std::vector<std::size_t> still_active;
+  still_active_.clear();
   for (std::size_t i = 0; i < stimulus_.armed.size(); ++i) {
     const std::size_t p = stimulus_.armed[i];
     const double skew = problem_->pair_skew(p, result_.final_steps);
@@ -160,10 +158,10 @@ void DelayTestMachine::record_response(const std::vector<bool>& pass) {
         result_.upper[p] - result_.lower[p] < options_.epsilon_ps) {
       result_.tested[p] = true;
     } else {
-      still_active.push_back(p);
+      still_active_.push_back(p);
     }
   }
-  active_ = std::move(still_active);
+  active_.swap(still_active_);
   stimulus_ready_ = false;
   settle();
 }

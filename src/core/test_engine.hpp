@@ -106,11 +106,19 @@ class DelayTestMachine {
 
   const Problem* problem_;
   const std::vector<Batch>* batches_;
-  std::vector<HoldConstraintX> hold_;
   TestOptions options_;
   TestRunResult result_;
   Stimulus stimulus_;
   std::vector<std::size_t> active_;
+  // Per-stimulus scratch, refilled in place so a steady-state iteration
+  // does no heap allocation. `inst_` carries the hold bounds and the
+  // programmed steps between stimuli.
+  AlignmentInstance inst_;
+  AlignmentWorkspace workspace_;
+  std::vector<double> centers_;
+  std::vector<double> weights_;
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> still_active_;
   std::size_t batch_idx_ = 0;
   std::size_t batch_iters_ = 0;
   bool batch_loaded_ = false;
