@@ -134,7 +134,18 @@ void BM_JacobiEigen(benchmark::State& state) {
     benchmark::DoNotOptimize(linalg::eigen_symmetric(a));
   }
 }
-BENCHMARK(BM_JacobiEigen)->Arg(16)->Arg(48)->Arg(96);
+// 320 = GroupingOptions::pca_max_block, the largest block Procedure 1's
+// PCA decomposes.
+BENCHMARK(BM_JacobiEigen)->Arg(16)->Arg(48)->Arg(96)->Arg(320);
+
+void BM_JacobiEigenNaive(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const linalg::Matrix a = random_spd(n, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::kernels::reference_eigen_symmetric(a));
+  }
+}
+BENCHMARK(BM_JacobiEigenNaive)->Arg(96)->Arg(320);
 
 void BM_SimplexLp(benchmark::State& state) {
   // Alignment-LP-shaped problem: T free, eta per path, bounded steps.

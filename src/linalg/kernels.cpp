@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <numeric>
 
 #include "linalg/decomposition.hpp"
 
@@ -377,6 +378,70 @@ Matrix reference_cholesky_solve(const Matrix& l, const Matrix& b) {
     for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = sol[r];
   }
   return x;
+}
+
+EigenDecomposition reference_eigen_symmetric(Matrix a, std::size_t max_sweeps,
+                                             double tol) {
+  if (!a.is_square()) {
+    throw LinalgError("eigen_symmetric requires square matrix");
+  }
+  const std::size_t n = a.rows();
+  Matrix v = Matrix::identity(n);
+  if (n == 0) return {std::vector<double>{}, std::move(v)};
+
+  double total_norm = 0.0;
+  for (double x : a.data()) total_norm += x * x;
+  total_norm = std::sqrt(total_norm);
+  const double off_tol = std::max(tol * total_norm, 1e-300);
+
+  auto off_diag_norm = [&]() {
+    double s = 0.0;
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) s += 2.0 * a(p, q) * a(p, q);
+    }
+    return std::sqrt(s);
+  };
+
+  for (std::size_t sweep = 0; sweep < max_sweeps; ++sweep) {
+    if (off_diag_norm() <= off_tol) break;
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const double apq = a(p, q);
+        if (std::abs(apq) <= 1e-300) continue;
+        const double app = a(p, p);
+        const double aqq = a(q, q);
+        // Standard stable Jacobi rotation.
+        const double theta = (aqq - app) / (2.0 * apq);
+        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+
+        rotate_cols(a, p, q, c, s);
+        rotate_rows(a, p, q, c, s);
+        rotate_cols(v, p, q, c, s);
+      }
+    }
+  }
+
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) values[i] = a(i, i);
+
+  // Sort eigenpairs by descending eigenvalue.
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t x, std::size_t y) { return values[x] > values[y]; });
+
+  std::vector<double> sorted_values(n);
+  Matrix sorted_vectors(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    sorted_values[j] = values[order[j]];
+    for (std::size_t i = 0; i < n; ++i) {
+      sorted_vectors(i, j) = v(i, order[j]);
+    }
+  }
+  return {std::move(sorted_values), std::move(sorted_vectors)};
 }
 
 }  // namespace effitest::linalg::kernels

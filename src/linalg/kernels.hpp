@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
 #include "parallel/deterministic_for.hpp"
 
@@ -83,10 +84,10 @@ void trsm_lower_transposed(const Matrix& l, Matrix& b,
                                     Matrix& l_out,
                                     const KernelOptions& opts = {});
 
-// -- Jacobi plane rotations (the inner loops of linalg::eigen_symmetric) ----
+// -- Jacobi plane rotations (the inner loops of the cyclic Jacobi) ---------
 
 /// Columns p and q of m: (col_p, col_q) <- (c*col_p - s*col_q,
-/// s*col_p + c*col_q).
+/// s*col_p + c*col_q). Strided; only reference_eigen_symmetric uses it.
 void rotate_cols(Matrix& m, std::size_t p, std::size_t q, double c, double s);
 
 /// Rows p and q of m, same rotation (contiguous row access).
@@ -102,6 +103,11 @@ void rotate_rows(Matrix& m, std::size_t p, std::size_t q, double c, double s);
 /// substitution, scatter.
 [[nodiscard]] Matrix reference_cholesky_solve(const Matrix& l,
                                               const Matrix& b);
+/// The eager cyclic Jacobi: every rotation applies rotate_cols(a),
+/// rotate_rows(a) and rotate_cols(v) in full before the next one is
+/// computed. linalg::eigen_symmetric returns the same bits.
+[[nodiscard]] EigenDecomposition reference_eigen_symmetric(
+    Matrix a, std::size_t max_sweeps = 64, double tol = 1e-12);
 
 // -- Blocked symmetric assembly ---------------------------------------------
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 namespace effitest::core {
 namespace {
@@ -144,6 +145,50 @@ TEST(SelectPaths, SubsampleMatchesFullPcaComponentCount) {
     EXPECT_NEAR(static_cast<double>(a.groups[g].num_components),
                 static_cast<double>(b.groups[g].num_components), 1.0);
   }
+}
+
+TEST(SelectPaths, DuplicatedPathTiesArePinned) {
+  // Path i copies base path i % 20, so every base appears three times with
+  // identical covariance rows: in exact arithmetic each PC's loadings tie
+  // across the copies, and the representative is decided by the last bits
+  // of the eigenvectors. Bases 0-7 form a rho = 0.97 cluster, bases 8-13 a
+  // rho = 0.92 cluster, bases 14-19 are nearly independent (rho = 0.05);
+  // clusters correlate at 0.1. The picks below were recorded with the
+  // eager cyclic Jacobi; another eigensolver, even an exact one, may pick
+  // another copy.
+  constexpr std::size_t kPaths = 60;
+  constexpr std::size_t kBases = 20;
+  const auto cluster = [](std::size_t b) -> std::size_t {
+    return b < 8 ? 0 : (b < 14 ? 1 : 2);
+  };
+  const double rho[] = {0.97, 0.92, 0.05};
+  linalg::Matrix cov(kPaths, kPaths);
+  for (std::size_t r = 0; r < kPaths; ++r) {
+    for (std::size_t c = 0; c < kPaths; ++c) {
+      const std::size_t br = r % kBases;
+      const std::size_t bc = c % kBases;
+      const double corr =
+          br == bc ? 1.0
+                   : (cluster(br) == cluster(bc) ? rho[cluster(br)] : 0.1);
+      cov(r, c) = (1.0 + 0.125 * static_cast<double>(br % 5)) *
+                  (1.0 + 0.125 * static_cast<double>(bc % 5)) * corr;
+    }
+  }
+  GroupingOptions opts;
+  opts.corr_step = 0.5;  // 0.95 -> 0.45 -> -0.05 (catch-all)
+  const SelectionResult r = select_paths(cov, opts);
+
+  ASSERT_EQ(r.groups.size(), 3u);
+  EXPECT_EQ(r.groups[0].members.size(), 24u);
+  EXPECT_EQ(r.groups[0].num_components, 1u);
+  EXPECT_EQ(r.groups[0].selected, (std::vector<std::size_t>{44}));
+  EXPECT_EQ(r.groups[1].members.size(), 18u);
+  EXPECT_EQ(r.groups[1].num_components, 1u);
+  EXPECT_EQ(r.groups[1].selected, (std::vector<std::size_t>{9}));
+  EXPECT_EQ(r.groups[2].members.size(), 18u);
+  EXPECT_EQ(r.groups[2].num_components, 6u);
+  EXPECT_EQ(r.groups[2].selected,
+            (std::vector<std::size_t>{14, 15, 36, 37, 38, 39}));
 }
 
 TEST(CorrelationClusters, PartitionIsComplete) {

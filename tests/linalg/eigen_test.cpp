@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <string>
+
+#include "linalg/kernels.hpp"
 
 namespace effitest::linalg {
 namespace {
@@ -105,6 +111,81 @@ TEST_P(EigenPropertyTest, ReconstructionAndOrthogonality) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EigenPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+// -- Bit identity against the eager reference Jacobi --------------------------
+
+/// Rank-deficient equicorrelated covariance: path i copies base path i % m,
+/// so duplicated rows give exactly tied loadings in exact arithmetic.
+Matrix duplicated_equicorrelated(std::size_t n) {
+  const std::size_t m = std::max<std::size_t>(1, n / 3);
+  Matrix a(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t br = r % m;
+      const std::size_t bc = c % m;
+      const double sr = 1.0 + 0.125 * static_cast<double>(br % 5);
+      const double sc = 1.0 + 0.125 * static_cast<double>(bc % 5);
+      a(r, c) = sr * sc * (br == bc ? 1.0 : 0.97);
+    }
+  }
+  return a;
+}
+
+/// Block-diagonal up to a permutation: entry (r, c) is non-zero only when
+/// r % 4 == c % 4, so skipped rotations (|a_pq| <= 1e-300) interleave with
+/// applied ones inside every p-loop.
+Matrix interleaved_block_diagonal(std::size_t n, std::uint64_t seed) {
+  Matrix a = random_symmetric(n, seed);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (r % 4 != c % 4) a(r, c) = 0.0;
+    }
+  }
+  return a;
+}
+
+void expect_bit_identical(const EigenDecomposition& got,
+                          const EigenDecomposition& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.values.size(), want.values.size()) << what;
+  for (std::size_t i = 0; i < want.values.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.values[i]),
+              std::bit_cast<std::uint64_t>(want.values[i]))
+        << what << " value " << i << ": " << got.values[i] << " vs "
+        << want.values[i];
+  }
+  ASSERT_EQ(got.vectors.rows(), want.vectors.rows()) << what;
+  ASSERT_EQ(got.vectors.cols(), want.vectors.cols()) << what;
+  for (std::size_t r = 0; r < want.vectors.rows(); ++r) {
+    for (std::size_t c = 0; c < want.vectors.cols(); ++c) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.vectors(r, c)),
+                std::bit_cast<std::uint64_t>(want.vectors(r, c)))
+          << what << " vector (" << r << ", " << c << "): "
+          << got.vectors(r, c) << " vs " << want.vectors(r, c);
+    }
+  }
+}
+
+TEST(EigenSymmetric, BitIdenticalToReferenceJacobi) {
+  // Sizes cover the empty and 1x1 cases and ragged 4-row interleave tails;
+  // 1 and 2 sweeps compare mid-convergence states, 64 the converged one.
+  for (std::size_t n : {0, 1, 2, 3, 5, 17, 64, 130, 321}) {
+    const Matrix inputs[] = {random_symmetric(n, 100 + n),
+                             duplicated_equicorrelated(n),
+                             interleaved_block_diagonal(n, 200 + n)};
+    const char* const kinds[] = {"random", "duplicated", "block-diagonal"};
+    for (std::size_t k = 0; k < 3; ++k) {
+      for (std::size_t sweeps : {1, 2, 64}) {
+        const std::string what = std::string(kinds[k]) +
+                                 " n=" + std::to_string(n) +
+                                 " sweeps=" + std::to_string(sweeps);
+        expect_bit_identical(
+            eigen_symmetric(inputs[k], sweeps),
+            kernels::reference_eigen_symmetric(inputs[k], sweeps), what);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace effitest::linalg
