@@ -76,10 +76,9 @@ FlowArtifacts prepare_flow(const Problem& problem, const FlowOptions& options,
     art.batches =
         build_batches(problem, cluster_major(tested_by_group), batching);
 
-    // The chip-independent prediction gain (Cholesky of Sigma_t + W +
-    // posterior sigmas) is a function of (cov, tested) only: compute it
-    // once here and hand the same shared object to slot filling and the
-    // final predictor. When slot filling inserts nothing, the measured set
+    // The chip-independent prediction gain (W + posterior sigmas) is a
+    // function of (cov, tested) only: compute it once here and hand the
+    // same shared object to slot filling and the final predictor. When slot filling inserts nothing, the measured set
     // is unchanged and the factorization is NOT redone — and every chip,
     // reused flow and same-circuit campaign job predicts through this one
     // object (sharing, not copying; see DESIGN.md §2/§9).
@@ -126,16 +125,6 @@ FlowArtifacts prepare_flow(const Problem& problem, const FlowOptions& options,
 
   art.hold = compute_hold_bounds(problem, rng, hold);
   return art;
-}
-
-FlowResult run_flow(const Problem& problem, const FlowOptions& options,
-                    const FlowArtifacts* reuse) {
-  // The raw-pointer reuse form keeps its historical value-copy semantics;
-  // the shared_ptr overload below aliases instead.
-  return run_flow(problem, options,
-                  reuse != nullptr
-                      ? std::make_shared<const FlowArtifacts>(*reuse)
-                      : std::shared_ptr<const FlowArtifacts>());
 }
 
 FlowResult run_flow(const Problem& problem, const FlowOptions& options,

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "linalg/eigen.hpp"
 #include "parallel/deterministic_for.hpp"
-#include "stats/pca.hpp"
 
 namespace effitest::core {
 
@@ -49,6 +49,33 @@ std::vector<std::vector<std::size_t>> correlation_clusters(
     threshold -= options.corr_step;
   }
   return clusters;
+}
+
+std::vector<std::size_t> select_representatives(
+    const linalg::EigenDecomposition& pca, std::size_t num_components) {
+  const std::size_t n = pca.vectors.rows();
+  const std::size_t k = std::min(num_components, n);
+  std::vector<bool> taken(n, false);
+  std::vector<std::size_t> selected;
+  selected.reserve(k);
+  for (std::size_t comp = 0; comp < k; ++comp) {
+    double best = -1.0;
+    std::size_t best_var = 0;
+    bool found = false;
+    for (std::size_t var = 0; var < n; ++var) {
+      if (taken[var]) continue;
+      const double l = std::abs(pca.vectors(var, comp));
+      if (l > best) {
+        best = l;
+        best_var = var;
+        found = true;
+      }
+    }
+    if (!found) break;
+    taken[best_var] = true;
+    selected.push_back(best_var);
+  }
+  return selected;
 }
 
 SelectionResult select_paths(const linalg::Matrix& cov,
@@ -99,13 +126,15 @@ SelectionResult select_paths(const linalg::Matrix& cov,
         block(i, j) = cov(basis[i], basis[j]);
       }
     }
-    const stats::Pca pca = stats::pca_from_covariance(std::move(block));
+    block.symmetrize();
+    const linalg::EigenDecomposition pca =
+        linalg::eigen_symmetric(std::move(block));
     group.num_components =
         options.use_kaiser
-            ? pca.significant_by_kaiser(options.kaiser_scale)
-            : pca.significant_components(options.pca_coverage);
+            ? pca.components_above_mean(options.kaiser_scale)
+            : pca.components_for_coverage(options.pca_coverage);
     const std::vector<std::size_t> local =
-        stats::select_representatives(pca, group.num_components);
+        select_representatives(pca, group.num_components);
     for (std::size_t l : local) group.selected.push_back(basis[l]);
     std::sort(group.selected.begin(), group.selected.end());
 

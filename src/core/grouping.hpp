@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "linalg/eigen.hpp"
 #include "linalg/matrix.hpp"
 
 namespace effitest::core {
@@ -50,6 +51,14 @@ struct SelectionResult {
   /// Sorted union of all selected (to-be-tested) path indices.
   std::vector<std::size_t> tested;
 };
+
+/// Greedy representative selection of Procedure 1 / ref. [14]: for each of
+/// the first `num_components` principal components of `pca` in order, pick
+/// the not-yet-selected variable with the largest |loading| on that
+/// component. Returns the selected variable indices (num_components of
+/// them, unless fewer variables exist).
+[[nodiscard]] std::vector<std::size_t> select_representatives(
+    const linalg::EigenDecomposition& pca, std::size_t num_components);
 
 /// Run Procedure 1 on a path-delay covariance matrix.
 [[nodiscard]] SelectionResult select_paths(const linalg::Matrix& covariance,

@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "linalg/matrix.hpp"
 #include "stats/conditional.hpp"
 
 namespace effitest::core {
@@ -25,47 +24,32 @@ struct DelayBounds {
 
 class DelayPredictor {
  public:
-  /// `covariance` and `means` cover all paths; `tested` lists the measured
-  /// path indices (ascending). The conditional gains are precomputed here —
-  /// they are chip-independent (this is why the per-chip estimation cost,
-  /// column Ts of Table 1, is negligible).
-  DelayPredictor(const linalg::Matrix& covariance, std::vector<double> means,
-                 std::vector<std::size_t> tested);
-
-  /// Adopt an already-computed (and possibly shared) prediction gain — no
-  /// factorization happens. `means` covers all paths; the tested set is the
-  /// gain's measured set. This is how FlowArtifacts shares one gain across
-  /// chips, reused flows and campaign jobs.
+  /// Predict through an already-computed (and possibly shared) gain — no
+  /// factorization happens here. `means` covers all paths; the tested set
+  /// is the gain's measured set. This is how FlowArtifacts shares one gain
+  /// across chips, reused flows and campaign jobs. Build a fresh one with
+  /// `stats::PredictionGain::compute(covariance, tested, 1e-9)`.
   DelayPredictor(std::shared_ptr<const stats::PredictionGain> gain,
                  std::vector<double> means);
 
-  /// The shared chip-independent gain (Cholesky of Sigma_t + W + posterior
-  /// sigmas).
+  /// The shared chip-independent gain: the tested (`measured`) and
+  /// `predicted` index sets, W and the posterior sigmas (eq. 5).
   [[nodiscard]] const std::shared_ptr<const stats::PredictionGain>&
   shared_gain() const {
-    return conditional_.shared_gain();
+    return gain_;
   }
-
-  [[nodiscard]] const std::vector<std::size_t>& tested_indices() const;
-  [[nodiscard]] const std::vector<std::size_t>& predicted_indices() const;
-
-  /// Posterior sigma of each *predicted* path (ordered as
-  /// predicted_indices()); does not depend on measurements (eq. 5).
-  [[nodiscard]] const std::vector<double>& posterior_sigma() const;
 
   /// Fill bounds for every path: tested paths keep their measured bounds;
   /// predicted paths get mu'_k +/- 3 sigma'_k with mu'_k computed from the
   /// measured *upper* bounds (conservative, §3.4).
-  /// `measured` is indexed like tested_indices().
+  /// `measured` is indexed like the gain's `measured` list.
   [[nodiscard]] DelayBounds predict(
       std::span<const double> measured_lower,
       std::span<const double> measured_upper) const;
 
  private:
+  std::shared_ptr<const stats::PredictionGain> gain_;
   std::vector<double> means_;
-  std::vector<std::size_t> tested_;
-  stats::ConditionalGaussian conditional_;
-  std::size_t num_paths_ = 0;
 };
 
 }  // namespace effitest::core

@@ -21,6 +21,18 @@ std::size_t EigenDecomposition::components_for_coverage(double coverage) const {
   return values.size();
 }
 
+std::size_t EigenDecomposition::components_above_mean(double scale) const {
+  if (values.empty()) return 0;
+  double total = 0.0;
+  for (double v : values) total += std::max(v, 0.0);
+  const double floor = scale * total / static_cast<double>(values.size());
+  std::size_t count = 0;
+  for (double v : values) {
+    if (v >= floor * (1.0 - 1e-9)) ++count;
+  }
+  return std::max<std::size_t>(count, 1);
+}
+
 namespace {
 
 // The cyclic Jacobi of kernels::reference_eigen_symmetric, restructured so

@@ -23,6 +23,14 @@ struct EigenDecomposition {
   /// `coverage` (in (0,1]) of the total. Non-positive eigenvalues contribute
   /// nothing. Returns at least 1 for a non-empty decomposition.
   [[nodiscard]] std::size_t components_for_coverage(double coverage) const;
+
+  /// Kaiser-style count: components whose eigenvalue reaches `scale` times
+  /// the average eigenvalue (the white-noise floor). Unlike the coverage
+  /// rule this is stable under group size and under uniform independent-
+  /// variance inflation (the Fig.-7 protocol): shared factor directions
+  /// stay above the floor, per-path noise stays below it. Returns at least
+  /// 1 for a non-empty decomposition.
+  [[nodiscard]] std::size_t components_above_mean(double scale) const;
 };
 
 /// Cyclic Jacobi eigendecomposition for symmetric matrices.

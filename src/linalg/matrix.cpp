@@ -185,40 +185,4 @@ std::ostream& operator<<(std::ostream& os, const Matrix& m) {
   return os;
 }
 
-double dot(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) throw LinalgError("dot size mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-double norm2(std::span<const double> v) { return std::sqrt(dot(v, v)); }
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  if (x.size() != y.size()) throw LinalgError("axpy size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-std::vector<double> subtract(std::span<const double> a,
-                             std::span<const double> b) {
-  if (a.size() != b.size()) throw LinalgError("subtract size mismatch");
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-std::vector<double> add(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) throw LinalgError("add size mismatch");
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-double quadratic_form(const Matrix& m, std::span<const double> v) {
-  if (!m.is_square() || m.rows() != v.size()) {
-    throw LinalgError("quadratic_form dimension mismatch");
-  }
-  return dot(v, m * v);
-}
-
 }  // namespace effitest::linalg

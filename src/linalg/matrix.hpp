@@ -1,5 +1,5 @@
 #pragma once
-// Dense row-major matrix and small-vector helpers.
+// Dense row-major matrix.
 //
 // This is the numeric workhorse underneath the statistical machinery of
 // EffiTest: covariance matrices, PCA, conditional-Gaussian gains and the
@@ -124,27 +124,5 @@ class Matrix {
 };
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m);
-
-// -- Free vector helpers (std::vector<double> is the vector type) -----------
-
-/// Dot product; sizes must match.
-[[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
-/// Euclidean norm.
-[[nodiscard]] double norm2(std::span<const double> v);
-
-/// y += alpha * x.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-
-/// Element-wise a - b.
-[[nodiscard]] std::vector<double> subtract(std::span<const double> a,
-                                           std::span<const double> b);
-
-/// Element-wise a + b.
-[[nodiscard]] std::vector<double> add(std::span<const double> a,
-                                      std::span<const double> b);
-
-/// v^T * M * v for square M (quadratic form).
-[[nodiscard]] double quadratic_form(const Matrix& m, std::span<const double> v);
 
 }  // namespace effitest::linalg

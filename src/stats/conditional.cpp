@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "linalg/decomposition.hpp"
+
 namespace effitest::stats {
 
 std::shared_ptr<const PredictionGain> PredictionGain::compute(
@@ -50,10 +52,9 @@ std::shared_ptr<const PredictionGain> PredictionGain::compute(
   const linalg::Matrix sigma_kt = cov.select(out->predicted, out->measured);
 
   // W = Sigma_{k,t} Sigma_t^{-1}  computed as solving Sigma_t W^T = Sigma_{t,k}.
-  out->chol_sigma_t = linalg::cholesky(sigma_t, jitter);
-  const linalg::Matrix wt =
-      out->chol_sigma_t.solve(sigma_kt.transposed());  // nt x nk
-  out->gain = wt.transposed();                         // nk x nt
+  const linalg::Cholesky chol = linalg::cholesky(sigma_t, jitter);
+  const linalg::Matrix wt = chol.solve(sigma_kt.transposed());  // nt x nk
+  out->gain = wt.transposed();                                  // nk x nt
 
   out->posterior_sigma.resize(nk);
   for (std::size_t k = 0; k < nk; ++k) {
@@ -68,20 +69,13 @@ std::shared_ptr<const PredictionGain> PredictionGain::compute(
   return out;
 }
 
-ConditionalGaussian::ConditionalGaussian(
-    std::shared_ptr<const PredictionGain> gain)
-    : gain_(std::move(gain)) {
-  if (gain_ == nullptr) {
-    throw std::invalid_argument("ConditionalGaussian: null PredictionGain");
-  }
-}
-
-std::vector<double> ConditionalGaussian::posterior_mean(
+std::vector<double> PredictionGain::posterior_mean(
     std::span<const double> mean, std::span<const double> observed) const {
-  const auto& measured = gain_->measured;
-  const auto& predicted = gain_->predicted;
   if (observed.size() != measured.size()) {
     throw std::invalid_argument("posterior_mean: observation size mismatch");
+  }
+  if (mean.size() != measured.size() + predicted.size()) {
+    throw std::invalid_argument("posterior_mean: prior mean size mismatch");
   }
   std::vector<double> innovation(measured.size());
   for (std::size_t t = 0; t < measured.size(); ++t) {
@@ -91,7 +85,7 @@ std::vector<double> ConditionalGaussian::posterior_mean(
   for (std::size_t k = 0; k < predicted.size(); ++k) {
     double acc = mean[predicted[k]];
     for (std::size_t t = 0; t < measured.size(); ++t) {
-      acc += gain_->gain(k, t) * innovation[t];
+      acc += gain(k, t) * innovation[t];
     }
     out[k] = acc;
   }

@@ -10,33 +10,28 @@
 // The gain matrix W = Sigma_{k,t} Sigma_t^{-1} and the posterior sigmas do
 // not depend on the measured values, so the whole prediction operator is a
 // function of (Sigma, measured index set) alone. PredictionGain packages it
-// — the Cholesky factor of Sigma_t, W and the posterior sigmas — as one
-// immutable, shareable object: the flow computes it once per (grouping,
-// measured-set) during offline preparation and every chip, every reused
-// FlowArtifacts copy and every same-circuit campaign job predicts through
-// the same factorization. Per-chip prediction is then a single mat-vec,
-// which is what makes the paper's per-chip estimation step (column Ts of
-// Table 1) essentially free.
+// — W and the posterior sigmas — as one immutable, shareable object: the
+// flow computes it once per (grouping, measured-set) during offline
+// preparation and every chip, every reused FlowArtifacts and every
+// same-circuit campaign job predicts through the same object. Per-chip
+// prediction is then a single mat-vec, which is what makes the paper's
+// per-chip estimation step (column Ts of Table 1) essentially free.
 
 #include <cstddef>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "linalg/decomposition.hpp"
 #include "linalg/matrix.hpp"
 
 namespace effitest::stats {
 
 /// The chip-independent part of conditional-Gaussian prediction over a
-/// fixed index split: Cholesky of Sigma_t, the gain W and the posterior
-/// sigmas. Immutable once computed; share via shared_ptr instead of
-/// refactorizing or deep-copying.
+/// fixed index split: the gain W and the posterior sigmas. Immutable once
+/// computed; share via shared_ptr instead of recomputing or deep-copying.
 struct PredictionGain {
   std::vector<std::size_t> measured;   ///< observed indices (input order)
   std::vector<std::size_t> predicted;  ///< remaining indices, ascending
-  /// Cholesky factor of Sigma_t (empty when nothing is measured).
-  linalg::Cholesky chol_sigma_t;
   /// Gain matrix W (|predicted| x |measured|).
   linalg::Matrix gain;
   /// Posterior standard deviations sigma'_k per predicted index (eq. 5).
@@ -50,52 +45,13 @@ struct PredictionGain {
   [[nodiscard]] static std::shared_ptr<const PredictionGain> compute(
       const linalg::Matrix& cov, std::vector<std::size_t> measured,
       double jitter = 1e-12);
-};
-
-/// Conditional-Gaussian predictor over a fixed index split. A thin handle
-/// on a shared PredictionGain: copying a ConditionalGaussian (or anything
-/// holding one, e.g. core::FlowArtifacts) shares the factorization instead
-/// of duplicating it.
-class ConditionalGaussian {
- public:
-  /// Compute a fresh gain (see PredictionGain::compute).
-  ConditionalGaussian(const linalg::Matrix& cov,
-                      std::vector<std::size_t> measured, double jitter = 1e-12)
-      : gain_(PredictionGain::compute(cov, std::move(measured), jitter)) {}
-
-  /// Adopt an already-computed gain; no factorization happens.
-  explicit ConditionalGaussian(std::shared_ptr<const PredictionGain> gain);
-
-  [[nodiscard]] const std::vector<std::size_t>& measured_indices() const {
-    return gain_->measured;
-  }
-  [[nodiscard]] const std::vector<std::size_t>& predicted_indices() const {
-    return gain_->predicted;
-  }
-
-  /// Gain matrix W (|predicted| x |measured|).
-  [[nodiscard]] const linalg::Matrix& gain() const { return gain_->gain; }
-
-  /// Posterior standard deviations sigma'_k, one per predicted index
-  /// (chip-independent, paper eq. 5).
-  [[nodiscard]] const std::vector<double>& posterior_sigma() const {
-    return gain_->posterior_sigma;
-  }
-
-  /// The shared chip-independent prediction operator.
-  [[nodiscard]] const std::shared_ptr<const PredictionGain>& shared_gain()
-      const {
-    return gain_;
-  }
 
   /// Posterior means mu'_k for the predicted indices given the measured
   /// values (paper eq. 4). `mean` is the full-length prior mean vector;
-  /// `observed` follows the order of measured_indices().
+  /// `observed` follows the order of `measured`. Throws
+  /// std::invalid_argument on a size mismatch of either.
   [[nodiscard]] std::vector<double> posterior_mean(
       std::span<const double> mean, std::span<const double> observed) const;
-
- private:
-  std::shared_ptr<const PredictionGain> gain_;
 };
 
 }  // namespace effitest::stats

@@ -138,7 +138,7 @@ TEST(EndToEnd, PredictionAccuracyOnTrueDelays) {
       mu[t] = tr.upper[art.tested[t]];
     }
     const DelayBounds bounds = art.predictor->predict(ml, mu);
-    for (std::size_t p : art.predictor->predicted_indices()) {
+    for (std::size_t p : art.predictor->shared_gain()->predicted) {
       ++total;
       if (chip.max_delay[p] >= bounds.lower[p] - 1e-9 &&
           chip.max_delay[p] <= bounds.upper[p] + 1e-9) {

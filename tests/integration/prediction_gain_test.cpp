@@ -1,8 +1,8 @@
-// The FlowArtifacts-cached PredictionGain contract: the gain (Cholesky of
-// Sigma_t + W + posterior sigmas) is a pure function of (covariance,
-// measured set), computed once during offline preparation and shared — so
-// predicting through the cached object must be byte-identical to rebuilding
-// the predictor from scratch, per chip and at the FlowMetrics level.
+// The FlowArtifacts-cached PredictionGain contract: the gain (W and the
+// posterior sigmas) is a pure function of (covariance, measured set),
+// computed once during offline preparation and shared — so predicting
+// through the cached object must be byte-identical to rebuilding the
+// predictor from scratch, per chip and at the FlowMetrics level.
 
 #include <gtest/gtest.h>
 
@@ -63,15 +63,19 @@ TEST(PredictionGain, SharedPredictorMatchesFreshRebuildPerChip) {
   // Rebuild the predictor from scratch exactly as a per-chip rebuild would:
   // same covariance, same measured set, fresh factorization.
   const linalg::Matrix cov = f.model.max_covariance();
-  const DelayPredictor rebuilt(cov, f.model.max_means(), art.tested);
+  const DelayPredictor rebuilt(
+      stats::PredictionGain::compute(cov, art.tested, 1e-9),
+      f.model.max_means());
 
   // The chip-independent pieces must agree bit-for-bit.
   const auto& cached = *art.predictor;
-  ASSERT_EQ(cached.tested_indices(), rebuilt.tested_indices());
-  ASSERT_EQ(cached.predicted_indices(), rebuilt.predicted_indices());
-  ASSERT_EQ(cached.posterior_sigma().size(), rebuilt.posterior_sigma().size());
-  for (std::size_t k = 0; k < cached.posterior_sigma().size(); ++k) {
-    ASSERT_EQ(cached.posterior_sigma()[k], rebuilt.posterior_sigma()[k]);
+  const stats::PredictionGain& cg = *cached.shared_gain();
+  const stats::PredictionGain& rg = *rebuilt.shared_gain();
+  ASSERT_EQ(cg.measured, rg.measured);
+  ASSERT_EQ(cg.predicted, rg.predicted);
+  ASSERT_EQ(cg.posterior_sigma.size(), rg.posterior_sigma.size());
+  for (std::size_t k = 0; k < cg.posterior_sigma.size(); ++k) {
+    ASSERT_EQ(cg.posterior_sigma[k], rg.posterior_sigma[k]);
   }
 
   // And the per-chip prediction through both objects.
@@ -99,7 +103,8 @@ TEST(PredictionGain, AdoptedGainSharesInsteadOfCopying) {
   const linalg::Matrix cov = f.model.max_covariance();
   std::vector<std::size_t> tested;
   for (std::size_t p = 0; p < f.model.num_pairs(); p += 5) tested.push_back(p);
-  const DelayPredictor original(cov, f.model.max_means(), tested);
+  const DelayPredictor original(
+      stats::PredictionGain::compute(cov, tested, 1e-9), f.model.max_means());
 
   // Adoption and copy both alias the same immutable PredictionGain.
   const DelayPredictor adopted(original.shared_gain(), f.model.max_means());
@@ -118,7 +123,7 @@ TEST(PredictionGain, CachedFlowMetricsMatchRebuiltFlowMetrics) {
   opts.chips = 60;
   opts.seed = 7;
   const FlowResult fresh = run_flow(f.problem, opts);
-  const FlowResult cached = run_flow(f.problem, opts, fresh.artifacts.get());
+  const FlowResult cached = run_flow(f.problem, opts, fresh.artifacts);
   expect_metrics_identical(fresh.metrics, cached.metrics);
 
   // The reused artifacts alias the same gain object — reuse shares, it does

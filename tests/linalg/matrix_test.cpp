@@ -171,39 +171,5 @@ TEST(Matrix, StreamOutput) {
   EXPECT_NE(os.str().find('4'), std::string::npos);
 }
 
-TEST(VectorOps, Dot) {
-  const std::vector<double> a{1, 2, 3};
-  const std::vector<double> b{4, 5, 6};
-  EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-  const std::vector<double> c{1.0};
-  EXPECT_THROW(static_cast<void>(dot(a, c)), LinalgError);
-}
-
-TEST(VectorOps, Norm2) {
-  const std::vector<double> v{3.0, 4.0};
-  EXPECT_DOUBLE_EQ(norm2(v), 5.0);
-}
-
-TEST(VectorOps, Axpy) {
-  const std::vector<double> x{1.0, 2.0};
-  std::vector<double> y{10.0, 20.0};
-  axpy(2.0, x, y);
-  EXPECT_DOUBLE_EQ(y[0], 12.0);
-  EXPECT_DOUBLE_EQ(y[1], 24.0);
-}
-
-TEST(VectorOps, AddSubtract) {
-  const std::vector<double> a{5.0, 7.0};
-  const std::vector<double> b{2.0, 3.0};
-  EXPECT_DOUBLE_EQ(subtract(a, b)[1], 4.0);
-  EXPECT_DOUBLE_EQ(add(a, b)[0], 7.0);
-}
-
-TEST(VectorOps, QuadraticForm) {
-  const Matrix m{{2.0, 0.0}, {0.0, 3.0}};
-  const std::vector<double> v{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(quadratic_form(m, v), 2.0 + 12.0);
-}
-
 }  // namespace
 }  // namespace effitest::linalg

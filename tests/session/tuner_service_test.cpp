@@ -229,7 +229,7 @@ TEST(TuningSession, ReuseServiceMatchesFreshService) {
   FlowOptions opts;
   opts.seed = 15;
   const TunerService fresh(f.problem, opts);
-  const TunerService adopted(f.problem, opts, &fresh.artifacts());
+  const TunerService adopted(f.problem, opts, fresh.shared_artifacts());
   EXPECT_EQ(fresh.monte_carlo_seed_base(), adopted.monte_carlo_seed_base());
 
   stats::Rng rng(parallel::index_seed(fresh.monte_carlo_seed_base(), 5));
@@ -240,16 +240,9 @@ TEST(TuningSession, ReuseServiceMatchesFreshService) {
   TuningSession b = adopted.begin_chip();
   b.drive(tester);
   expect_reports_equal(a.report(), b.report());
-  // The adopted artifacts alias the cached prediction gain, not a copy.
-  if (fresh.artifacts().predictor) {
-    EXPECT_EQ(fresh.artifacts().predictor->shared_gain().get(),
-              adopted.artifacts().predictor->shared_gain().get());
-  }
-
-  // The shared_ptr overload goes further: the whole artifact object is
-  // aliased, not copied (the campaign fast path).
-  const TunerService aliased(f.problem, opts, fresh.shared_artifacts());
-  EXPECT_EQ(aliased.shared_artifacts().get(), fresh.shared_artifacts().get());
+  // The whole artifact object is aliased, not copied (the campaign fast
+  // path).
+  EXPECT_EQ(adopted.shared_artifacts().get(), fresh.shared_artifacts().get());
 }
 
 TEST(TuningSession, MisusedProtocolThrows) {
