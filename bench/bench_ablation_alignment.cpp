@@ -1,9 +1,9 @@
 // Ablation: quality and cost of the alignment solvers (DESIGN.md §5).
 //
 // The paper solves eqs. 7-14 with Gurobi per tester iteration. This build
-// offers three solvers; the Monte-Carlo loop uses coordinate descent for
-// speed. This bench quantifies, over randomly sampled mid-test alignment
-// instances:
+// runs coordinate descent in the Monte-Carlo loop for speed and keeps the
+// two MILP forms as oracles. This bench quantifies, over randomly sampled
+// mid-test alignment instances:
 //   * the optimality gap of coordinate descent vs. the exact compact MILP,
 //   * the agreement of the paper's literal big-M MILP with the compact MILP,
 //   * wall-clock per solve for each method.
@@ -61,13 +61,12 @@ int main(int argc, char** argv) {
     }
 
     const auto t0 = Clock::now();
-    const auto cd =
-        core::solve_alignment(ai, core::AlignMethod::kCoordinateDescent);
+    const auto cd = core::solve_alignment(ai);
     const auto t1 = Clock::now();
     const auto compact =
-        core::solve_alignment(ai, core::AlignMethod::kMilpCompact);
+        core::solve_alignment_milp(ai, core::MilpForm::kCompact);
     const auto t2 = Clock::now();
-    const auto bigm = core::solve_alignment(ai, core::AlignMethod::kMilpBigM);
+    const auto bigm = core::solve_alignment_milp(ai, core::MilpForm::kBigM);
     const auto t3 = Clock::now();
 
     t_cd += std::chrono::duration<double>(t1 - t0).count();

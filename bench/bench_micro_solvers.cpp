@@ -208,8 +208,7 @@ void BM_AlignmentCoordinateDescent(benchmark::State& state) {
         means[p], 1.0, f.problem.src_buffer(p), f.problem.dst_buffer(p)});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_alignment(inst, core::AlignMethod::kCoordinateDescent));
+    benchmark::DoNotOptimize(core::solve_alignment(inst));
   }
 }
 BENCHMARK(BM_AlignmentCoordinateDescent);
@@ -231,8 +230,7 @@ void BM_AlignmentCoordinateDescentReuse(benchmark::State& state) {
   }
   core::AlignmentWorkspace workspace;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(&core::solve_alignment(
-        inst, core::AlignMethod::kCoordinateDescent, {}, workspace));
+    benchmark::DoNotOptimize(&core::solve_alignment(inst, workspace));
   }
 }
 BENCHMARK(BM_AlignmentCoordinateDescentReuse);
@@ -252,7 +250,7 @@ void BM_AlignmentMilp(benchmark::State& state) {
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::solve_alignment(inst, core::AlignMethod::kMilpCompact));
+        core::solve_alignment_milp(inst, core::MilpForm::kCompact));
   }
 }
 BENCHMARK(BM_AlignmentMilp);

@@ -7,6 +7,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "lp/solver.hpp"
+
 namespace effitest::core {
 
 namespace {
@@ -300,11 +302,35 @@ void solve_coordinate_descent(const AlignmentInstance& inst,
   out.feasible = hold_ok(inst, out.steps);
 }
 
-/// Shared MILP scaffolding: builds variables T and s_b, returns via the
-/// callback the linear expression terms of (T - shifted_center_p) for each
-/// entry, then solves and extracts the assignment.
-AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
-                           const lp::SolveOptions& options) {
+/// Validates `inst`; true when it has no entries, with `out` set to the
+/// no-op result (current steps, T = 0, objective 0).
+bool nothing_to_align(const AlignmentInstance& inst, AlignmentResult& out) {
+  if (inst.problem == nullptr) {
+    throw std::invalid_argument("solve_alignment: missing problem");
+  }
+  if (inst.entries.empty()) {
+    out.period = 0.0;
+    out.steps.assign(inst.current_steps.begin(), inst.current_steps.end());
+    out.objective = 0.0;
+    out.feasible = true;
+    return true;
+  }
+  if (inst.current_steps.size() != inst.problem->num_buffers()) {
+    throw std::invalid_argument("solve_alignment: bad current_steps size");
+  }
+  return false;
+}
+
+}  // namespace
+
+/// Builds variables T and s_b, the linear expression of
+/// (T - shifted_center_p) for each entry in the requested form, then
+/// solves and extracts the assignment.
+AlignmentResult solve_alignment_milp(const AlignmentInstance& inst,
+                                     MilpForm form) {
+  AlignmentResult out;
+  if (nothing_to_align(inst, out)) return out;
+  const bool big_m = form == MilpForm::kBigM;
   const Problem& problem = *inst.problem;
   lp::Model model;
 
@@ -437,8 +463,7 @@ AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
                          h.lambda - constant);
   }
 
-  const lp::Solution sol = lp::solve(model, options);
-  AlignmentResult out;
+  const lp::Solution sol = lp::solve(model);
   out.steps = inst.current_steps;
   if (!sol.feasible()) {
     out.feasible = false;
@@ -457,8 +482,6 @@ AlignmentResult solve_milp(const AlignmentInstance& inst, bool big_m,
   out.feasible = hold_ok(inst, out.steps);
   return out;
 }
-
-}  // namespace
 
 std::vector<double> middle_out_weights(std::span<const double> centers,
                                        double k0, double kd) {
@@ -485,45 +508,18 @@ void middle_out_weights(std::span<const double> centers, double k0, double kd,
   }
 }
 
-AlignmentResult solve_alignment(const AlignmentInstance& instance,
-                                AlignMethod method,
-                                const lp::SolveOptions& lp_options) {
+AlignmentResult solve_alignment(const AlignmentInstance& instance) {
   AlignmentWorkspace workspace;
-  solve_alignment(instance, method, lp_options, workspace);
+  solve_alignment(instance, workspace);
   return std::move(workspace.result);
 }
 
 const AlignmentResult& solve_alignment(const AlignmentInstance& instance,
-                                       AlignMethod method,
-                                       const lp::SolveOptions& lp_options,
                                        AlignmentWorkspace& workspace) {
-  if (instance.problem == nullptr) {
-    throw std::invalid_argument("solve_alignment: missing problem");
+  if (!nothing_to_align(instance, workspace.result)) {
+    solve_coordinate_descent(instance, workspace);
   }
-  AlignmentResult& out = workspace.result;
-  if (instance.entries.empty()) {
-    out.period = 0.0;
-    out.steps.assign(instance.current_steps.begin(),
-                     instance.current_steps.end());
-    out.objective = 0.0;
-    out.feasible = true;
-    return out;
-  }
-  if (instance.current_steps.size() != instance.problem->num_buffers()) {
-    throw std::invalid_argument("solve_alignment: bad current_steps size");
-  }
-  switch (method) {
-    case AlignMethod::kCoordinateDescent:
-      solve_coordinate_descent(instance, workspace);
-      return out;
-    case AlignMethod::kMilpCompact:
-      out = solve_milp(instance, /*big_m=*/false, lp_options);
-      return out;
-    case AlignMethod::kMilpBigM:
-      out = solve_milp(instance, /*big_m=*/true, lp_options);
-      return out;
-  }
-  throw std::logic_error("solve_alignment: unknown method");
+  return workspace.result;
 }
 
 }  // namespace effitest::core

@@ -10,15 +10,18 @@
 // subject to the buffer range/step constraints (eq. 14 / eq. 3) and the
 // hold-time lower bounds x_i - x_j >= lambda_ij (§3.5, eq. 21).
 //
-// Three interchangeable solvers:
-//  * kMilpCompact  — the absolute values linearized as eta >= +/-(...), exact;
-//  * kMilpBigM     — the paper's literal indicator-variable formulation
-//                    (eqs. 8-13), exact; kept for fidelity and as an oracle
-//                    in tests (both MILPs must agree);
-//  * kCoordinateDescent — weighted-median updates of T interleaved with
-//                    per-buffer discrete line search; orders of magnitude
-//                    faster, used inside the Monte-Carlo loop. An ablation
-//                    bench quantifies its optimality gap.
+// One production solver, solve_alignment(): weighted-median updates of T
+// interleaved with per-buffer discrete line search (coordinate descent).
+// It runs inside the Monte-Carlo loop, orders of magnitude faster than a
+// MILP; an ablation bench quantifies its optimality gap.
+//
+// The exact MILPs are kept as a named oracle, solve_alignment_milp(), for
+// tests and benches:
+//  * MilpForm::kCompact — the absolute values linearized as
+//                         eta >= +/-(...), exact;
+//  * MilpForm::kBigM    — the paper's literal indicator-variable
+//                         formulation (eqs. 8-13), exact; both forms must
+//                         agree.
 //
 // Weights follow the paper: sort the range centers, give the middle one k0
 // and decrease by kd per rank outward (k0 >> kd), which breaks the
@@ -31,7 +34,6 @@
 #include <vector>
 
 #include "core/problem.hpp"
-#include "lp/solver.hpp"
 
 namespace effitest::core {
 
@@ -69,10 +71,10 @@ struct AlignmentResult {
   bool feasible = true;        ///< hold bounds satisfiable
 };
 
-enum class AlignMethod : std::uint8_t {
-  kCoordinateDescent,
-  kMilpCompact,
-  kMilpBigM,
+/// Formulation of the MILP oracle.
+enum class MilpForm : std::uint8_t {
+  kCompact,  ///< eta >= +/-(T - shifted center)
+  kBigM,     ///< the paper's indicator binaries, eqs. 8-13
 };
 
 /// Reusable scratch for repeated alignment solves. Purely an allocation
@@ -114,16 +116,19 @@ void middle_out_weights(std::span<const double> centers, double k0, double kd,
                         std::vector<double>& weights,
                         std::vector<std::size_t>& order);
 
+/// Coordinate-descent alignment of `instance`.
 [[nodiscard]] AlignmentResult solve_alignment(
-    const AlignmentInstance& instance, AlignMethod method,
-    const lp::SolveOptions& lp_options = {});
+    const AlignmentInstance& instance);
 
-/// Same solve, reusing `workspace`; the coordinate-descent path does no
-/// heap allocation once the workspace has grown to the instance size. The
-/// returned reference is `workspace.result`.
+/// Same solve, reusing `workspace`; it does no heap allocation once the
+/// workspace has grown to the instance size. The returned reference is
+/// `workspace.result`.
 const AlignmentResult& solve_alignment(const AlignmentInstance& instance,
-                                       AlignMethod method,
-                                       const lp::SolveOptions& lp_options,
                                        AlignmentWorkspace& workspace);
+
+/// Exact oracle: the same problem as a MILP in the given form, solved by
+/// the in-house branch & bound. For tests and benches, not the tester loop.
+[[nodiscard]] AlignmentResult solve_alignment_milp(
+    const AlignmentInstance& instance, MilpForm form);
 
 }  // namespace effitest::core

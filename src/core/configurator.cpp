@@ -7,6 +7,8 @@
 #include <map>
 #include <stdexcept>
 
+#include "lp/solver.hpp"
+
 namespace effitest::core {
 
 namespace {
@@ -188,11 +190,24 @@ ConfigResult solve_difference(const DiffProblem& dp,
   return out;
 }
 
-ConfigResult solve_milp(const Problem& problem, double td,
-                        std::span<const double> lower,
-                        std::span<const double> upper,
-                        std::span<const HoldConstraintX> hold,
-                        const ConfigOptions& options) {
+/// Number of monitored pairs; throws unless both bound spans have one
+/// entry per pair.
+std::size_t check_bounds(const Problem& problem, std::span<const double> lower,
+                         std::span<const double> upper) {
+  const std::size_t np = problem.model().num_pairs();
+  if (lower.size() != np || upper.size() != np) {
+    throw std::invalid_argument("configure_buffers: bounds size mismatch");
+  }
+  return np;
+}
+
+}  // namespace
+
+ConfigResult configure_buffers_milp(const Problem& problem, double td,
+                                    std::span<const double> lower,
+                                    std::span<const double> upper,
+                                    std::span<const HoldConstraintX> hold) {
+  check_bounds(problem, lower, upper);
   lp::Model model;
   const std::size_t nb = problem.num_buffers();
   std::vector<int> s_var(nb);
@@ -238,7 +253,7 @@ ConfigResult solve_milp(const Problem& problem, double td,
                          h.lambda - constant);
   }
 
-  const lp::Solution sol = lp::solve(model, options.lp);
+  const lp::Solution sol = lp::solve(model);
   ConfigResult out;
   if (!sol.feasible()) return out;
   out.feasible = true;
@@ -251,32 +266,12 @@ ConfigResult solve_milp(const Problem& problem, double td,
   return out;
 }
 
-}  // namespace
-
 ConfigResult configure_buffers(const Problem& problem, double designated_period,
                                std::span<const double> lower,
                                std::span<const double> upper,
                                std::span<const HoldConstraintX> hold,
                                const ConfigOptions& options) {
-  const std::size_t np = problem.model().num_pairs();
-  if (lower.size() != np || upper.size() != np) {
-    throw std::invalid_argument("configure_buffers: bounds size mismatch");
-  }
-  // Uniform step grids are required for the difference-constraint solver;
-  // the Problem factory guarantees this, but fall back to the MILP if a
-  // caller built heterogeneous buffers.
-  bool uniform = true;
-  for (std::size_t b = 1; b < problem.num_buffers(); ++b) {
-    if (std::abs(problem.buffers()[b].step_size() -
-                 problem.buffers()[0].step_size()) > 1e-9) {
-      uniform = false;
-      break;
-    }
-  }
-  if (options.method == ConfigOptions::Method::kMilp || !uniform) {
-    return solve_milp(problem, designated_period, lower, upper, hold, options);
-  }
-
+  const std::size_t np = check_bounds(problem, lower, upper);
   DiffProblem dp(problem);
   for (std::size_t p = 0; p < np; ++p) {
     const int i = problem.src_buffer(p);

@@ -19,26 +19,24 @@
 // same machinery as classic clock-skew scheduling (Fishburn) — and xi is
 // minimized by bisection. All constraint constants are floored onto the step
 // grid, which is the conservative direction, and integer arithmetic makes
-// the discrete solution exact.
+// the discrete solution exact. It relies on one step size shared by every
+// buffer, which core::Problem guarantees.
 //
-// A literal MILP of eqs. 15-18 (+21) is provided for cross-validation.
+// configure_buffers() is the one production solver. The literal MILP of
+// eqs. 15-18 (+21), configure_buffers_milp(), is kept as the oracle that
+// tests and benches cross-validate it against.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/alignment.hpp"
 #include "core/problem.hpp"
-#include "lp/solver.hpp"
 #include "timing/model.hpp"
 
 namespace effitest::core {
 
 struct ConfigOptions {
-  enum class Method : std::uint8_t { kDifferenceConstraints, kMilp };
-  Method method = Method::kDifferenceConstraints;
   double xi_tolerance_ps = 0.01;  ///< bisection resolution on xi
-  lp::SolveOptions lp{};
 };
 
 struct ConfigResult {
@@ -53,6 +51,13 @@ struct ConfigResult {
     const Problem& problem, double designated_period,
     std::span<const double> lower, std::span<const double> upper,
     std::span<const HoldConstraintX> hold, const ConfigOptions& options = {});
+
+/// Exact oracle: the same problem as the literal MILP of eqs. 15-18 (+21),
+/// solved by the in-house branch & bound. For tests and benches.
+[[nodiscard]] ConfigResult configure_buffers_milp(
+    const Problem& problem, double designated_period,
+    std::span<const double> lower, std::span<const double> upper,
+    std::span<const HoldConstraintX> hold);
 
 /// Configuration under perfect measurement: l = u = true delay and hold
 /// bounds taken from the chip's true short-path delays. This is the

@@ -107,7 +107,7 @@ const Stimulus& DelayTestMachine::next_stimulus() {
   }
 
   const auto t0 = Clock::now();
-  solve_alignment(inst_, options_.method, options_.lp, workspace_);
+  solve_alignment(inst_, workspace_);
   result_.align_seconds += seconds_since(t0);
   AlignmentResult& aligned = workspace_.result;
   result_.final_steps = aligned.steps;

@@ -30,10 +30,11 @@
 // each reads with its own raw-fd line reader and writes with send(2), and
 // recv/send on one fd from two threads is safe. The uplink appends to the
 // replay backlog and forwards under the session mutex, so a migration's
-// replay is ordered against live client lines. Half-closes (net::
-// shutdown_read/shutdown_write) unblock the peer thread without racing fd
-// lifetimes: a vanished client shuts down the worker-socket write side so
-// the worker sees EOF; a finished downlink shuts down the client read side
+// replay is ordered against live client lines. Half-closes unblock the
+// peer thread without racing fd lifetimes: a vanished client makes the
+// uplink shut down the worker fd's write side (raw ::shutdown(SHUT_WR) on
+// the fd it read under the session mutex) so the worker sees EOF; a
+// finished downlink shuts down the client read side (net::shutdown_read)
 // to pop the uplink out of recv before joining it.
 //
 // Accept/drain shape is net::SessionServer's (net/session_server.hpp),

@@ -1,9 +1,7 @@
 #include "io/tune_protocol.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -13,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/deterministic_for.hpp"
 #include "timing/model.hpp"
@@ -25,12 +24,6 @@ using core::ChipReport;
 using core::SessionPhase;
 using core::Stimulus;
 using core::TuningSession;
-
-std::string number(double v) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
-}
 
 /// Out-of-order window: a response whose seq is this far beyond the chip's
 /// next expected one cannot belong to any stimulus the server will ever
@@ -69,7 +62,8 @@ class Exchange {
     *out_ << "effitest-tune-v1 chips=" << chips
           << " np=" << problem.model().num_pairs()
           << " nb=" << problem.num_buffers()
-          << " td=" << number(service.designated_period()) << '\n';
+          << " td=" << json::format_double(service.designated_period())
+          << '\n';
     refill();
   }
 
@@ -176,7 +170,7 @@ class Exchange {
             << " forced=" << r.test.forced
             << " feasible=" << (r.config.feasible ? 1 : 0) << " passed="
             << (r.passed.has_value() ? (*r.passed ? "1" : "0") : "-")
-            << " xi=" << number(r.config.xi) << " steps";
+            << " xi=" << json::format_double(r.config.xi) << " steps";
       for (int k : r.config.steps) *out_ << ' ' << k;
       *out_ << '\n';
       s.finished = true;
@@ -186,7 +180,7 @@ class Exchange {
     const bool final_phase = is_final(c);
     const Stimulus& stim = s.session->next_stimulus();
     *out_ << (final_phase ? "final " : "stimulus ") << c << ' ' << s.next_seq
-          << ' ' << number(stim.period) << " steps";
+          << ' ' << json::format_double(stim.period) << " steps";
     for (int k : stim.steps) *out_ << ' ' << k;
     if (!final_phase) {
       *out_ << " arm";

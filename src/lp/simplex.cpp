@@ -6,17 +6,6 @@
 
 namespace effitest::lp {
 
-const char* to_string(SolveStatus s) {
-  switch (s) {
-    case SolveStatus::kOptimal: return "optimal";
-    case SolveStatus::kInfeasible: return "infeasible";
-    case SolveStatus::kUnbounded: return "unbounded";
-    case SolveStatus::kIterationLimit: return "iteration_limit";
-    case SolveStatus::kNodeLimit: return "node_limit";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // A structural tableau column and how it maps back onto a model variable:

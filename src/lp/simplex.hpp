@@ -26,8 +26,6 @@ enum class SolveStatus : std::uint8_t {
   kNodeLimit,
 };
 
-[[nodiscard]] const char* to_string(SolveStatus s);
-
 struct SimplexOptions {
   int max_iterations = 200000;   ///< pivot limit across both phases
   double tol = 1e-9;             ///< pivot / reduced-cost tolerance

@@ -174,10 +174,6 @@ void shutdown_read(const Socket& socket) {
   if (socket.valid()) (void)::shutdown(socket.fd(), SHUT_RD);
 }
 
-void shutdown_write(const Socket& socket) {
-  if (socket.valid()) (void)::shutdown(socket.fd(), SHUT_WR);
-}
-
 Socket connect_to(const std::string& host, std::uint16_t port) {
   const sockaddr_in addr = ipv4_address(host, port);
   Socket s(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));

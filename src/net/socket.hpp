@@ -137,11 +137,10 @@ struct ConnectBackoff {
                                           std::uint16_t port,
                                           const ConnectBackoff& backoff = {});
 
-/// Half-close helpers (shutdown(2) wrappers; no-ops on an invalid socket).
-/// The fleet balancer uses them to pop its peer relay thread out of a
-/// blocking recv without racing the fd's lifetime: shutdown leaves the fd
-/// open, so the owning Socket's close stays single-threaded.
+/// Read-side half-close (a shutdown(2) wrapper; no-op on an invalid
+/// socket). The fleet balancer uses it to pop its uplink relay thread out
+/// of a blocking recv without racing the fd's lifetime: shutdown leaves the
+/// fd open, so the owning Socket's close stays single-threaded.
 void shutdown_read(const Socket& socket);
-void shutdown_write(const Socket& socket);
 
 }  // namespace effitest::net

@@ -180,12 +180,4 @@ StructuralPath TimingGraph::min_path(const ConeArrival& cone, int src_ff,
   return p;
 }
 
-double TimingGraph::nominal_critical_delay() const {
-  double worst = 0.0;
-  for (const PairDelay& pd : all_pair_delays()) {
-    worst = std::max(worst, pd.max_delay);
-  }
-  return worst;
-}
-
 }  // namespace effitest::timing

@@ -80,9 +80,6 @@ class TimingGraph {
   [[nodiscard]] StructuralPath min_path(const ConeArrival& cone, int src_ff,
                                         int dst_ff) const;
 
-  /// Nominal critical delay over all FF pairs (ignores setup margins).
-  [[nodiscard]] double nominal_critical_delay() const;
-
  private:
   const netlist::Netlist* netlist_;
   const netlist::CellLibrary* library_;

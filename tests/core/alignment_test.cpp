@@ -83,10 +83,10 @@ TEST(Alignment, SingleEntryPeriodHitsShiftedCenter) {
   inst.problem = &f.problem;
   inst.current_steps = f.problem.neutral_steps();
   inst.entries.push_back(AlignmentEntry{150.0, 1.0, 0, -1});
-  for (AlignMethod m : {AlignMethod::kCoordinateDescent,
-                        AlignMethod::kMilpCompact, AlignMethod::kMilpBigM}) {
-    const AlignmentResult r = solve_alignment(inst, m);
-    EXPECT_NEAR(r.objective, 0.0, 1e-6) << "method " << static_cast<int>(m);
+  for (const AlignmentResult& r :
+       {solve_alignment(inst), solve_alignment_milp(inst, MilpForm::kCompact),
+        solve_alignment_milp(inst, MilpForm::kBigM)}) {
+    EXPECT_NEAR(r.objective, 0.0, 1e-6);
     EXPECT_NEAR(objective_at(inst, r), r.objective, 1e-9);
   }
 }
@@ -101,9 +101,8 @@ TEST(Alignment, TwoOpposedEntriesMeetInMiddle) {
   inst.entries.push_back(AlignmentEntry{100.0, 1.0, 0, -1});
   inst.entries.push_back(AlignmentEntry{110.0, 1.0, -1, 0});
   const double half_range = f.problem.buffers()[0].tau / 2.0;
-  const AlignmentResult cd =
-      solve_alignment(inst, AlignMethod::kCoordinateDescent);
-  const AlignmentResult milp = solve_alignment(inst, AlignMethod::kMilpCompact);
+  const AlignmentResult cd = solve_alignment(inst);
+  const AlignmentResult milp = solve_alignment_milp(inst, MilpForm::kCompact);
   if (half_range >= 5.0) {
     // Residual bounded by one step of quantization across two entries.
     EXPECT_NEAR(milp.objective, 0.0,
@@ -119,14 +118,14 @@ TEST(Alignment, EmptyInstanceNoop) {
   AlignmentInstance inst;
   inst.problem = &f.problem;
   inst.current_steps = f.problem.neutral_steps();
-  const AlignmentResult r =
-      solve_alignment(inst, AlignMethod::kCoordinateDescent);
+  const AlignmentResult r = solve_alignment(inst);
   EXPECT_EQ(r.steps, inst.current_steps);
 }
 
 TEST(Alignment, MissingProblemThrows) {
   AlignmentInstance inst;
-  EXPECT_THROW(solve_alignment(inst, AlignMethod::kCoordinateDescent),
+  EXPECT_THROW(solve_alignment(inst), std::invalid_argument);
+  EXPECT_THROW(solve_alignment_milp(inst, MilpForm::kCompact),
                std::invalid_argument);
 }
 
@@ -136,7 +135,8 @@ TEST(Alignment, BadStepsSizeThrows) {
   inst.problem = &f.problem;
   inst.current_steps = {0};  // wrong size
   inst.entries.push_back(AlignmentEntry{100.0, 1.0, 0, -1});
-  EXPECT_THROW(solve_alignment(inst, AlignMethod::kCoordinateDescent),
+  EXPECT_THROW(solve_alignment(inst), std::invalid_argument);
+  EXPECT_THROW(solve_alignment_milp(inst, MilpForm::kBigM),
                std::invalid_argument);
 }
 
@@ -148,8 +148,7 @@ TEST(Alignment, FrozenBuffersRespected) {
   inst.allow_buffer_moves = false;
   inst.entries.push_back(AlignmentEntry{100.0, 1.0, 0, -1});
   inst.entries.push_back(AlignmentEntry{140.0, 1.0, 1, -1});
-  const AlignmentResult r =
-      solve_alignment(inst, AlignMethod::kCoordinateDescent);
+  const AlignmentResult r = solve_alignment(inst);
   EXPECT_EQ(r.steps, inst.current_steps);  // nothing moved
   EXPECT_GT(r.objective, 0.0);             // centers cannot be merged
 }
@@ -163,11 +162,11 @@ TEST(Alignment, HoldConstraintsBlockSkew) {
   inst.entries.push_back(AlignmentEntry{100.0, 1.0, 0, -1});
   inst.entries.push_back(AlignmentEntry{120.0, 1.0, -1, -1});
   inst.hold.push_back(HoldConstraintX{0, -1, 0.0});  // x0 >= 0
-  for (AlignMethod m :
-       {AlignMethod::kCoordinateDescent, AlignMethod::kMilpCompact}) {
-    const AlignmentResult r = solve_alignment(inst, m);
+  for (const AlignmentResult& r :
+       {solve_alignment(inst),
+        solve_alignment_milp(inst, MilpForm::kCompact)}) {
     const double x0 = f.problem.buffers()[0].value(r.steps[0]);
-    EXPECT_GE(x0, -1e-9) << "method " << static_cast<int>(m);
+    EXPECT_GE(x0, -1e-9);
   }
 }
 
@@ -191,8 +190,8 @@ TEST(Alignment, BigMAndCompactMilpAgree) {
       inst.entries.push_back(AlignmentEntry{centers[i], w[i], src, dst});
     }
     const AlignmentResult compact =
-        solve_alignment(inst, AlignMethod::kMilpCompact);
-    const AlignmentResult bigm = solve_alignment(inst, AlignMethod::kMilpBigM);
+        solve_alignment_milp(inst, MilpForm::kCompact);
+    const AlignmentResult bigm = solve_alignment_milp(inst, MilpForm::kBigM);
     EXPECT_NEAR(compact.objective, bigm.objective,
                 1e-4 * (1.0 + compact.objective))
         << "trial " << trial;
@@ -221,10 +220,9 @@ TEST_P(CdQualityTest, NearOptimalOnRandomInstances) {
     if (dst == src && src >= 0) dst = -1;
     inst.entries.push_back(AlignmentEntry{centers[i], w[i], src, dst});
   }
-  const AlignmentResult cd =
-      solve_alignment(inst, AlignMethod::kCoordinateDescent);
+  const AlignmentResult cd = solve_alignment(inst);
   const AlignmentResult exact =
-      solve_alignment(inst, AlignMethod::kMilpCompact);
+      solve_alignment_milp(inst, MilpForm::kCompact);
   // CD cannot beat the exact solver...
   EXPECT_GE(cd.objective, exact.objective - 1e-6);
   // ...and should be within 25% + epsilon of it on these instance sizes.
@@ -330,7 +328,7 @@ TEST(Alignment, CoordinateDescentDigestPinned) {
     for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
       const AlignmentInstance inst = random_instance(*problem, seed);
       const AlignmentResult r =
-          solve_alignment(inst, AlignMethod::kCoordinateDescent);
+          solve_alignment(inst);
       ASSERT_NEAR(objective_at(inst, r), r.objective,
                   1e-9 * (1.0 + r.objective));
       if (!inst.allow_buffer_moves) {
@@ -340,7 +338,7 @@ TEST(Alignment, CoordinateDescentDigestPinned) {
       infeasible += r.feasible ? 0 : 1;
       digest.add(r);
       reused_digest.add(solve_alignment(
-          inst, AlignMethod::kCoordinateDescent, {}, workspace));
+          inst, workspace));
     }
   }
   // The instance mix exercises both moves and unsatisfiable hold bounds.

@@ -128,22 +128,33 @@ TEST(Configurator, MilpAgreesWithDifferenceConstraints) {
     lower[p] = means[p] - sigmas[p];
     upper[p] = means[p] + sigmas[p];
   }
-  for (double td_offset : {-5.0, 0.0, 15.0}) {
-    const double td =
-        *std::max_element(means.begin(), means.end()) + td_offset;
-    ConfigOptions diff_opts;
-    ConfigOptions milp_opts;
-    milp_opts.method = ConfigOptions::Method::kMilp;
-    const ConfigResult a =
-        configure_buffers(f.problem, td, lower, upper, {}, diff_opts);
-    const ConfigResult b =
-        configure_buffers(f.problem, td, lower, upper, {}, milp_opts);
-    EXPECT_EQ(a.feasible, b.feasible) << "td offset " << td_offset;
-    if (a.feasible && b.feasible) {
-      // Same optimum up to the grid-floor conservatism of the
-      // difference-constraint path (at most one step).
-      EXPECT_NEAR(a.xi, b.xi, f.problem.buffers()[0].step_size() + 0.05)
-          << "td offset " << td_offset;
+  // No hold bounds, and the binding one of HoldBoundsRespected.
+  const std::vector<HoldConstraintX> binding{
+      {0, 1, f.problem.buffers()[0].tau / 4.0}};
+  for (const std::vector<HoldConstraintX>& hold :
+       {std::vector<HoldConstraintX>{}, binding}) {
+    for (double td_offset : {-5.0, 0.0, 15.0}) {
+      const double td =
+          *std::max_element(means.begin(), means.end()) + td_offset;
+      const ConfigResult a =
+          configure_buffers(f.problem, td, lower, upper, hold);
+      const ConfigResult b =
+          configure_buffers_milp(f.problem, td, lower, upper, hold);
+      EXPECT_EQ(a.feasible, b.feasible)
+          << "td offset " << td_offset << ", " << hold.size() << " hold";
+      if (a.feasible && b.feasible) {
+        // Same optimum up to the grid-floor conservatism of the
+        // difference-constraint path (at most one step).
+        EXPECT_NEAR(a.xi, b.xi, f.problem.buffers()[0].step_size() + 0.05)
+            << "td offset " << td_offset << ", " << hold.size() << " hold";
+        if (!hold.empty()) {
+          for (const ConfigResult* r : {&a, &b}) {
+            EXPECT_GE(f.problem.buffers()[0].value(r->steps[0]) -
+                          f.problem.buffers()[1].value(r->steps[1]),
+                      binding[0].lambda - 1e-9);
+          }
+        }
+      }
     }
   }
 }
@@ -152,6 +163,8 @@ TEST(Configurator, BoundsSizeValidated) {
   Fixture f;
   const std::vector<double> wrong{1.0};
   EXPECT_THROW(configure_buffers(f.problem, 100.0, wrong, wrong, {}),
+               std::invalid_argument);
+  EXPECT_THROW(configure_buffers_milp(f.problem, 100.0, wrong, wrong, {}),
                std::invalid_argument);
 }
 
