@@ -2,7 +2,8 @@
 // the critical path of the Monte-Carlo experiments: the blocked linalg
 // kernels against their seed naive references, Cholesky, Jacobi PCA, the
 // simplex/branch&bound solver, the coordinate-descent alignment, the
-// conditional-Gaussian predictor, chip sampling and buffer configuration.
+// conditional-Gaussian predictor, chip sampling, buffer configuration and
+// the circuit-model build (provisioning).
 //
 // Besides the google-benchmark cases, a manual blocked-vs-naive comparison
 // runs at the end and emits BENCH_micro_solvers.json with the measured
@@ -32,6 +33,7 @@
 #include "netlist/generator.hpp"
 #include "stats/conditional.hpp"
 #include "stats/rng.hpp"
+#include "timing/model.hpp"
 
 namespace {
 
@@ -300,6 +302,24 @@ void BM_CovarianceBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CovarianceBuild);
+
+/// Provisioning: one CircuitModel build (a fanout-cone sweep per launching
+/// flip-flop, then form extraction) on generated s9234 (arg 0) and s38584
+/// (arg 1).
+void BM_CircuitModelBuild(benchmark::State& state) {
+  static const netlist::GeneratedCircuit circuits[] = {
+      netlist::generate_circuit(netlist::paper_benchmark_spec("s9234")),
+      netlist::generate_circuit(netlist::paper_benchmark_spec("s38584"))};
+  static const netlist::CellLibrary lib = netlist::CellLibrary::standard();
+  const netlist::GeneratedCircuit& c =
+      circuits[static_cast<std::size_t>(state.range(0))];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        timing::CircuitModel(c.netlist, lib, c.buffered_ffs));
+  }
+  state.SetLabel(c.netlist.name());
+}
+BENCHMARK(BM_CircuitModelBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // -- Manual blocked-vs-naive comparison + JSON emission ---------------------
 

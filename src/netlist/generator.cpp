@@ -513,16 +513,18 @@ GeneratedCircuit generate_circuit(const GeneratorSpec& spec) {
   }
 
   // --- Pure combinational filler up to the ng target. ------------------------
-  if (b.nl.num_combinational_gates() < spec.num_gates) {
+  //     The gate count is taken once; each chain adds exactly `len` gates.
+  std::size_t gates = b.nl.num_combinational_gates();
+  if (gates < spec.num_gates) {
     const int filler_pi =
         b.nl.add_cell(b.next_pi_name(), CellType::kInput, {}, Point{0.5, 0.5});
-    while (b.nl.num_combinational_gates() < spec.num_gates) {
-      const std::size_t remaining =
-          spec.num_gates - b.nl.num_combinational_gates();
+    while (gates < spec.num_gates) {
+      const std::size_t len = std::min<std::size_t>(spec.num_gates - gates, 20);
       const Point at{b.rng.uniform(), b.rng.uniform()};
-      const int end = b.make_chain(filler_pi, std::min<std::size_t>(remaining, 20),
-                                   at, b.jitter(at, 0.05), side[0]);
+      const int end =
+          b.make_chain(filler_pi, len, at, b.jitter(at, 0.05), side[0]);
       b.nl.mark_primary_output(end);
+      gates += len;
     }
   }
 

@@ -8,6 +8,10 @@ namespace effitest::timing {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+// Marks a cell discovered by sweep() but not yet timed. Every fanin of a
+// cone cell that lies in the cone precedes it topologically, so the timing
+// pass overwrites each mark before anything reads it.
+constexpr double kDiscovered = std::numeric_limits<double>::infinity();
 }
 
 TimingGraph::TimingGraph(const netlist::Netlist& netlist,
@@ -19,65 +23,116 @@ TimingGraph::TimingGraph(const netlist::Netlist& netlist,
     delays_[i] = library.timing(netlist.cell(static_cast<int>(i)).type)
                      .nominal_delay_ps;
   }
-  topo_order_ = netlist.topological_order();
-  fanouts_ = netlist.fanouts();
+  const std::vector<int> order = netlist.topological_order();
+  topo_rank_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    topo_rank_[static_cast<std::size_t>(order[r])] = static_cast<int>(r);
+  }
+  fanout_begin_.assign(n + 1, 0);
+  for (const netlist::Cell& c : netlist.cells()) {
+    for (int u : c.fanins) ++fanout_begin_[static_cast<std::size_t>(u) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) fanout_begin_[i + 1] += fanout_begin_[i];
+  fanout_cells_.resize(static_cast<std::size_t>(fanout_begin_[n]));
+  // Sinks in ascending id per driver, as Netlist::fanouts() lists them.
+  std::vector<int> next(fanout_begin_.begin(), fanout_begin_.end() - 1);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (int u : netlist.cell(static_cast<int>(v)).fanins) {
+      const int slot = next[static_cast<std::size_t>(u)]++;
+      fanout_cells_[static_cast<std::size_t>(slot)] = static_cast<int>(v);
+    }
+  }
 }
 
-TimingGraph::ConeArrival TimingGraph::sweep(int src_ff) const {
-  const std::size_t n = netlist_->num_cells();
-  ConeArrival cone;
-  cone.max_arrival.assign(n, kNegInf);
-  cone.min_arrival.assign(n, kNegInf);
-  cone.max_arrival[static_cast<std::size_t>(src_ff)] = delays_[static_cast<std::size_t>(src_ff)];
-  cone.min_arrival[static_cast<std::size_t>(src_ff)] = delays_[static_cast<std::size_t>(src_ff)];
+void TimingGraph::sweep(int src_ff, ConeArrival& cone) const {
+  const std::size_t n = delays_.size();
+  if (cone.max_arrival.size() != n) {
+    cone.max_arrival.assign(n, kNegInf);
+    cone.min_arrival.assign(n, kNegInf);
+  } else {
+    // Only the previous source and its cone hold finite arrivals.
+    if (cone.src_ff >= 0) {
+      cone.max_arrival[static_cast<std::size_t>(cone.src_ff)] = kNegInf;
+      cone.min_arrival[static_cast<std::size_t>(cone.src_ff)] = kNegInf;
+    }
+    for (int id : cone.cells) {
+      cone.max_arrival[static_cast<std::size_t>(id)] = kNegInf;
+      cone.min_arrival[static_cast<std::size_t>(id)] = kNegInf;
+    }
+  }
+  cone.src_ff = src_ff;
+  cone.cells.clear();
+  cone.sinks.clear();
+  const auto s = static_cast<std::size_t>(src_ff);
+  cone.max_arrival[s] = delays_[s];
+  cone.min_arrival[s] = delays_[s];
 
-  for (int id : topo_order_) {
-    const netlist::Cell& c = netlist_->cell(id);
-    if (!netlist::is_combinational(c.type)) continue;
+  // Discover the cone breadth-first over fanouts (cone.cells doubles as the
+  // worklist) and collect the flip-flops whose D pin it drives.
+  const auto expand = [&](int u) {
+    const auto i = static_cast<std::size_t>(u);
+    for (int f = fanout_begin_[i]; f < fanout_begin_[i + 1]; ++f) {
+      const int v = fanout_cells_[static_cast<std::size_t>(f)];
+      const netlist::Cell& c = netlist_->cell(v);
+      if (netlist::is_combinational(c.type)) {
+        double& mark = cone.max_arrival[static_cast<std::size_t>(v)];
+        if (mark == kNegInf) {
+          mark = kDiscovered;
+          cone.cells.push_back(v);
+        }
+      } else if (c.type == netlist::CellType::kDff && c.fanins[0] == u) {
+        cone.sinks.push_back(v);
+      }
+    }
+  };
+  expand(src_ff);
+  for (std::size_t i = 0; i < cone.cells.size(); ++i) expand(cone.cells[i]);
+  std::sort(cone.cells.begin(), cone.cells.end(), [&](int a, int b) {
+    return topo_rank_[static_cast<std::size_t>(a)] <
+           topo_rank_[static_cast<std::size_t>(b)];
+  });
+  // An unvalidated DFF may list its D driver twice.
+  std::sort(cone.sinks.begin(), cone.sinks.end());
+  cone.sinks.erase(std::unique(cone.sinks.begin(), cone.sinks.end()),
+                   cone.sinks.end());
+
+  // Time the cone in topological order. Fanins outside it read -inf and are
+  // skipped, so each cell sees the same operands in the same order as in a
+  // full-graph pass.
+  for (int id : cone.cells) {
     double best_max = kNegInf;
     double best_min = kNegInf;
-    for (int u : c.fanins) {
+    for (int u : netlist_->cell(id).fanins) {
       const double am = cone.max_arrival[static_cast<std::size_t>(u)];
       if (am == kNegInf) continue;
       best_max = std::max(best_max, am);
       const double an = cone.min_arrival[static_cast<std::size_t>(u)];
       best_min = (best_min == kNegInf) ? an : std::min(best_min, an);
     }
-    if (best_max != kNegInf) {
-      const auto i = static_cast<std::size_t>(id);
-      cone.max_arrival[i] = best_max + delays_[i];
-      cone.min_arrival[i] = best_min + delays_[i];
-    }
+    const auto i = static_cast<std::size_t>(id);
+    cone.max_arrival[i] = best_max + delays_[i];
+    cone.min_arrival[i] = best_min + delays_[i];
   }
-  return cone;
 }
 
 std::vector<PairDelay> TimingGraph::all_pair_delays() const {
   std::vector<PairDelay> out;
-  const std::vector<int> ffs = netlist_->flip_flops();
-  for (int s : ffs) {
-    const ConeArrival cone = sweep(s);
-    for (int t : ffs) {
-      const int w = netlist_->cell(t).fanins.empty() ? -1 : netlist_->cell(t).fanins[0];
-      if (w < 0) continue;
-      const double am = cone.max_arrival[static_cast<std::size_t>(w)];
-      if (am == kNegInf) continue;
-      out.push_back(PairDelay{s, t, am, cone.min_arrival[static_cast<std::size_t>(w)]});
+  ConeArrival cone;
+  for (int s : netlist_->flip_flops()) {
+    sweep(s, cone);
+    for (int t : cone.sinks) {
+      const auto w = static_cast<std::size_t>(netlist_->cell(t).fanins[0]);
+      out.push_back(PairDelay{s, t, cone.max_arrival[w], cone.min_arrival[w]});
     }
   }
   return out;
 }
 
 std::vector<StructuralPath> TimingGraph::near_critical_paths(
-    int src_ff, int dst_ff, double slack_window, std::size_t max_paths) const {
-  return near_critical_paths(sweep(src_ff), src_ff, dst_ff, slack_window,
-                             max_paths);
-}
-
-std::vector<StructuralPath> TimingGraph::near_critical_paths(
-    const ConeArrival& cone, int src_ff, int dst_ff, double slack_window,
+    const ConeArrival& cone, int dst_ff, double slack_window,
     std::size_t max_paths) const {
   std::vector<StructuralPath> out;
+  const int src_ff = cone.src_ff;
   const netlist::Cell& dst = netlist_->cell(dst_ff);
   if (dst.type != netlist::CellType::kDff || dst.fanins.empty()) {
     throw netlist::NetlistError("near_critical_paths: dst is not a driven DFF");
@@ -132,12 +187,9 @@ std::vector<StructuralPath> TimingGraph::near_critical_paths(
   return out;
 }
 
-StructuralPath TimingGraph::min_path(int src_ff, int dst_ff) const {
-  return min_path(sweep(src_ff), src_ff, dst_ff);
-}
-
-StructuralPath TimingGraph::min_path(const ConeArrival& cone, int src_ff,
+StructuralPath TimingGraph::min_path(const ConeArrival& cone,
                                      int dst_ff) const {
+  const int src_ff = cone.src_ff;
   const netlist::Cell& dst = netlist_->cell(dst_ff);
   if (dst.type != netlist::CellType::kDff || dst.fanins.empty()) {
     throw netlist::NetlistError("min_path: dst is not a driven DFF");

@@ -39,11 +39,21 @@ struct PairDelay {
 
 class TimingGraph {
  public:
-  /// Arrival times across one launching FF's combinational cone.
+  /// Arrival times across one launching FF's combinational fanout cone.
+  /// Caller-owned scratch, reusable across sweeps: a sweep resets only the
+  /// cells the previous one reached, so after the first call no sweep
+  /// allocates or clears the n-sized vectors. Keep one per thread; the
+  /// graph itself holds no sweep state.
   struct ConeArrival {
-    // Per cell: -inf when unreachable from the source FF.
+    int src_ff = -1;
+    // Per cell: -inf when unreachable from src_ff.
     std::vector<double> max_arrival;
     std::vector<double> min_arrival;
+    // Combinational cells reached from src_ff, in topological order.
+    std::vector<int> cells;
+    // Flip-flops whose D pin src_ff or a cell of the cone drives, in
+    // ascending id (Netlist::flip_flops()) order.
+    std::vector<int> sinks;
   };
 
   TimingGraph(const netlist::Netlist& netlist,
@@ -57,35 +67,36 @@ class TimingGraph {
     return delays_[static_cast<std::size_t>(id)];
   }
 
-  /// All connected FF pairs with nominal max/min delays (single STA sweep per
-  /// launching FF, restricted to its fanout cone).
+  /// All connected FF pairs with nominal max/min delays (one cone sweep per
+  /// launching FF), grouped by source in flip_flops() order, sinks ascending.
   [[nodiscard]] std::vector<PairDelay> all_pair_delays() const;
 
-  /// Forward sweep from one launching FF across its combinational cone.
-  /// Reusable by the per-pair queries below, which also have convenience
-  /// overloads that sweep internally.
-  [[nodiscard]] ConeArrival sweep(int src_ff) const;
+  /// Forward sweep from one launching FF across its combinational fanout
+  /// cone, written into `cone`. Every reached cell takes max/min over its
+  /// fanins in netlist order, exactly as a full topological pass would.
+  void sweep(int src_ff, ConeArrival& cone) const;
 
-  /// Enumerate, for the given FF pair, every path whose nominal delay is
-  /// within `slack_window` of the pair's max delay, longest first, capped at
-  /// `max_paths`. Always contains the critical path.
+  /// Enumerate, for the pair (cone.src_ff, dst_ff), every path whose nominal
+  /// delay is within `slack_window` of the pair's max delay, longest first,
+  /// capped at `max_paths`. Always contains the critical path.
   [[nodiscard]] std::vector<StructuralPath> near_critical_paths(
-      int src_ff, int dst_ff, double slack_window, std::size_t max_paths) const;
-  [[nodiscard]] std::vector<StructuralPath> near_critical_paths(
-      const ConeArrival& cone, int src_ff, int dst_ff, double slack_window,
+      const ConeArrival& cone, int dst_ff, double slack_window,
       std::size_t max_paths) const;
 
-  /// The single shortest structural path for the pair (hold analysis).
-  [[nodiscard]] StructuralPath min_path(int src_ff, int dst_ff) const;
-  [[nodiscard]] StructuralPath min_path(const ConeArrival& cone, int src_ff,
+  /// The single shortest structural path of (cone.src_ff, dst_ff) (hold
+  /// analysis).
+  [[nodiscard]] StructuralPath min_path(const ConeArrival& cone,
                                         int dst_ff) const;
 
  private:
   const netlist::Netlist* netlist_;
   const netlist::CellLibrary* library_;
   std::vector<double> delays_;
-  std::vector<int> topo_order_;
-  std::vector<std::vector<int>> fanouts_;
+  std::vector<int> topo_rank_;  // cell id -> position in topological order
+  // Fanout adjacency in CSR form: the sinks of cell i are
+  // fanout_cells_[fanout_begin_[i] .. fanout_begin_[i + 1]).
+  std::vector<int> fanout_begin_;
+  std::vector<int> fanout_cells_;
 };
 
 }  // namespace effitest::timing

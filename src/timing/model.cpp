@@ -35,7 +35,7 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
   }
 
   const TimingGraph graph(netlist, library);
-  const std::vector<int> ffs = netlist.flip_flops();
+  TimingGraph::ConeArrival cone;
 
   // Pass 1: discover pairs per source FF; build monitored pairs fully and
   // keep background candidates (mean only) for the static check below.
@@ -46,15 +46,12 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
   std::vector<StaticCandidate> background;
   double crit = 0.0;
 
-  for (int s : ffs) {
-    const TimingGraph::ConeArrival cone = graph.sweep(s);
-    for (int t : ffs) {
-      const netlist::Cell& tc = netlist.cell(t);
-      if (tc.fanins.empty()) continue;
-      const int w = tc.fanins[0];
+  for (int s : netlist.flip_flops()) {
+    graph.sweep(s, cone);
+    const bool src_buf = buffer_index_.contains(s);
+    for (int t : cone.sinks) {
+      const int w = netlist.cell(t).fanins[0];
       const double am = cone.max_arrival[static_cast<std::size_t>(w)];
-      if (am == -std::numeric_limits<double>::infinity()) continue;
-      const bool src_buf = buffer_index_.contains(s);
       const bool dst_buf = buffer_index_.contains(t);
       crit = std::max(crit, am + setup_time_);
       if (!src_buf && !dst_buf) {
@@ -68,19 +65,20 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
       p.src_buffered = src_buf;
       p.dst_buffered = dst_buf;
       const auto alts = graph.near_critical_paths(
-          cone, s, t, options_.slack_window_ps, options_.max_paths_per_pair);
+          cone, t, options_.slack_window_ps, options_.max_paths_per_pair);
       if (alts.empty()) continue;
       for (const StructuralPath& sp : alts) {
         p.max_alts.push_back(build_form(sp, setup_time_));
       }
       p.max_form = p.max_alts.front();
-      p.min_form = build_form(graph.min_path(cone, s, t), 0.0);
+      p.min_form = build_form(graph.min_path(cone, t), 0.0);
       pairs_.push_back(std::move(p));
     }
   }
   critical_ = crit;
 
   // Pass 2: background pairs — discard statically safe ones, promote others.
+  // Candidates are grouped by source, so each source is re-swept at most once.
   const double threshold = options_.static_discard_fraction * critical_;
   for (const StaticCandidate& c : background) {
     // Conservative sigma bound without path extraction: systematic fraction
@@ -90,8 +88,9 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
       ++discarded_pairs_;
       continue;
     }
-    const auto paths = graph.near_critical_paths(
-        c.src, c.dst, options_.slack_window_ps, 1);
+    if (cone.src_ff != c.src) graph.sweep(c.src, cone);
+    const auto paths =
+        graph.near_critical_paths(cone, c.dst, options_.slack_window_ps, 1);
     if (!paths.empty()) {
       static_forms_.push_back(build_form(paths.front(), setup_time_));
     }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "netlist/generator.hpp"
@@ -244,6 +246,83 @@ TEST(CircuitModel, SpecializedSamplersShareTheChipStream) {
       EXPECT_EQ(ws_rng.engine()(), next);
     }
   }
+}
+
+/// FNV-1a over the bits of a built model: pair order and flags, every form's
+/// mean, loading and mismatch slots, and the static background summary.
+struct ModelDigest {
+  std::uint64_t h = 1469598103934665603ULL;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  void mix(int v) {
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
+  void add(const DelayForm& f) {
+    mix(f.mean);
+    mix(static_cast<std::uint64_t>(f.loading.size()));
+    for (const auto& [factor, weight] : f.loading) {
+      mix(factor);
+      mix(weight);
+    }
+    mix(static_cast<std::uint64_t>(f.mismatch_slots.size()));
+    for (int slot : f.mismatch_slots) mix(slot);
+    mix(f.mismatch_var);
+    mix(f.extra_indep_var);
+  }
+  void add(const CircuitModel& m) {
+    for (const MonitoredPair& p : m.pairs()) {
+      mix(p.id);
+      mix(p.src_ff);
+      mix(p.dst_ff);
+      mix(static_cast<std::uint64_t>((p.src_buffered ? 1U : 0U) |
+                                     (p.dst_buffered ? 2U : 0U)));
+      mix(static_cast<std::uint64_t>(p.max_alts.size()));
+      for (const DelayForm& f : p.max_alts) add(f);
+      add(p.min_form);
+    }
+    mix(static_cast<std::uint64_t>(m.static_forms().size()));
+    for (const DelayForm& f : m.static_forms()) add(f);
+    mix(static_cast<std::uint64_t>(m.num_discarded_pairs()));
+    mix(m.nominal_critical_delay());
+  }
+};
+
+// Bit-identity lock for the model build: pair enumeration order, the
+// mismatch-slot numbering (first-use order across every built form) and
+// each form's floating-point sums. The circuits come from the generator's
+// <random> draws, so the recorded values are libstdc++ artifacts, like
+// golden_metrics_test.
+TEST(CircuitModel, BuildDigestPinned) {
+  const netlist::GeneratedCircuit s9234 =
+      netlist::generate_circuit(netlist::paper_benchmark_spec("s9234"));
+  const netlist::GeneratedCircuit mem_ctrl =
+      netlist::generate_circuit(netlist::paper_benchmark_spec("mem_ctrl"));
+  // Neither circuit promotes a background pair at the default discard
+  // fraction; a zero fraction promotes all of s9234's, covering pass 2.
+  ModelOptions promote_all;
+  promote_all.static_discard_fraction = 0.0;
+  const CircuitModel models[] = {
+      CircuitModel(s9234.netlist, lib(), s9234.buffered_ffs),
+      CircuitModel(s9234.netlist, lib(), s9234.buffered_ffs, promote_all),
+      CircuitModel(mem_ctrl.netlist, lib(), mem_ctrl.buffered_ffs)};
+  EXPECT_GT(models[1].num_static_pairs(), 0u);
+  std::vector<std::uint64_t> digests;
+  for (const CircuitModel& m : models) {
+    ModelDigest digest;
+    digest.add(m);
+    digests.push_back(digest.h);
+  }
+#if defined(__GLIBCXX__)
+  // Recorded before the fanout-cone sweep replaced the full-graph pass.
+  EXPECT_EQ(digests[0], 0x9f768e3f012c36d1ULL);
+  EXPECT_EQ(digests[1], 0x68b15c73e9196b06ULL);
+  EXPECT_EQ(digests[2], 0x3318b9e67eab40a2ULL);
+#endif
 }
 
 }  // namespace
