@@ -6,11 +6,11 @@
 #include <chrono>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "net/client.hpp"
 #include "obs/log.hpp"
 
 namespace effitest::fleet {
@@ -64,23 +64,6 @@ bool send_all(int fd, const std::string& data) {
     p += n;
   }
   return true;
-}
-
-/// Seed base out of `serve effitest-tune-v1 session=<id> seed=<base>`.
-std::optional<std::uint64_t> parse_greeting_seed(const std::string& greeting) {
-  std::istringstream is(greeting);
-  std::string tag, token;
-  if (!(is >> tag) || tag != "serve") return std::nullopt;
-  while (is >> token) {
-    if (token.rfind("seed=", 0) == 0) {
-      try {
-        return std::stoull(token.substr(5));
-      } catch (const std::exception&) {
-        return std::nullopt;
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 /// Shared mutable session state between the downlink (relay worker) and
@@ -258,8 +241,8 @@ void FleetBalancer::handle_connection(net::Socket client) {
         drop_worker(false);
         break;
       }
-      const std::optional<std::uint64_t> seed = parse_greeting_seed(greeting);
-      if (!seed) {
+      const std::optional<net::Greeting> parsed = net::parse_greeting(greeting);
+      if (!parsed) {
         drop_worker(true);  // not speaking the protocol: treat as dead
         continue;
       }
@@ -270,13 +253,14 @@ void FleetBalancer::handle_connection(net::Socket client) {
           drop_worker(false);
           break;
         }
-        seed_base = *seed;
+        seed_base = parsed->seed_base;
         greeting_forwarded = true;
-      } else if (*seed != seed_base) {
+      } else if (parsed->seed_base != seed_base) {
         // Determinism contract broken: this worker serves a different
         // problem/seed, replaying would hand the client divergent bytes.
         failure_reason = "fleet worker seed mismatch (got " +
-                         std::to_string(*seed) + ", session started with " +
+                         std::to_string(parsed->seed_base) +
+                         ", session started with " +
                          std::to_string(seed_base) + ")";
         (void)send_all(client.fd(), "error - " + failure_reason + "\n");
         failed = true;

@@ -218,6 +218,27 @@ std::vector<bool> decode_bits(const std::string& bits) {
   return pass;
 }
 
+}  // namespace
+
+SimulatedTesters::SimulatedTesters(const core::Problem& problem,
+                                   std::size_t chips, std::uint64_t seed_base)
+    : problem_(&problem) {
+  dies_.reserve(chips);
+  timing::SampleWorkspace ws;
+  for (std::size_t c = 0; c < chips; ++c) {
+    stats::Rng rng(parallel::index_seed(seed_base, c));
+    dies_.push_back(problem.model().sample_chip(rng, ws));
+  }
+}
+
+std::vector<bool> SimulatedTesters::answer(std::size_t chip,
+                                           const core::Stimulus& stimulus,
+                                           bool final) const {
+  core::SimulatedChip tester(*problem_, dies_.at(chip));
+  if (final) return {tester.final_test(stimulus.period, stimulus.steps)};
+  return tester.apply(stimulus);
+}
+
 std::string encode_bits(const std::vector<bool>& pass) {
   std::string bits(pass.size(), '0');
   for (std::size_t i = 0; i < pass.size(); ++i) {
@@ -225,8 +246,6 @@ std::string encode_bits(const std::vector<bool>& pass) {
   }
   return bits;
 }
-
-}  // namespace
 
 TuneServer::TuneServer(const core::TunerService& service, std::size_t chips,
                        TuneServerOptions options)
@@ -388,23 +407,8 @@ TuneServerResult TuneServer::run(std::istream& in, std::ostream& out) {
 
 TuneServerResult TuneServer::run_simulated(std::ostream& out,
                                            std::ostream* response_log) {
-  // Dies sampled exactly like run_flow's Monte-Carlo chip loop.
-  const core::Problem& problem = service_->problem();
-  const timing::CircuitModel& model = problem.model();
-  const std::uint64_t base = service_->monte_carlo_seed_base();
-  std::vector<timing::Chip> dies;
-  dies.reserve(chips_);
-  timing::SampleWorkspace ws;
-  for (std::size_t c = 0; c < chips_; ++c) {
-    stats::Rng rng(parallel::index_seed(base, c));
-    dies.push_back(model.sample_chip(rng, ws));
-  }
-  std::vector<core::SimulatedChip> testers;
-  testers.reserve(chips_);
-  for (std::size_t c = 0; c < chips_; ++c) {
-    testers.emplace_back(problem, dies[c]);
-  }
-
+  const SimulatedTesters testers(service_->problem(), chips_,
+                                 service_->monte_carlo_seed_base());
   Exchange exchange(*service_, chips_, options_, out);
   // Round-robin: one stimulus/response exchange per unfinished chip per
   // sweep, so a logged session interleaves chips (the interesting replay
@@ -413,13 +417,8 @@ TuneServerResult TuneServer::run_simulated(std::ostream& out,
   while (exchange.unfinished() > 0) {
     for (std::size_t c = 0; c < chips_; ++c) {
       if (!exchange.slot(c).started || exchange.slot(c).finished) continue;
-      const Stimulus& stim = exchange.outstanding(c);
-      std::vector<bool> pass;
-      if (exchange.is_final(c)) {
-        pass.assign(1, testers[c].final_test(stim.period, stim.steps));
-      } else {
-        pass = testers[c].apply(stim);
-      }
+      const std::vector<bool> pass =
+          testers.answer(c, exchange.outstanding(c), exchange.is_final(c));
       if (response_log != nullptr) {
         *response_log << "response " << c << ' ' << exchange.slot(c).next_seq
                       << ' ' << encode_bits(pass) << '\n';

@@ -51,6 +51,7 @@
 // cannot grow the out-of-order buffer without bound.
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -98,6 +99,31 @@ struct TuneServerResult {
   /// Unattributable input lines dropped in lenient mode.
   std::size_t dropped_lines = 0;
 };
+
+/// The simulated tester population behind `tune --simulate`
+/// (TuneServer::run_simulated) and `tune --connect`
+/// (net::run_loopback_client): die c is sampled from
+/// stats::Rng(parallel::index_seed(seed_base, c)) exactly like run_flow's
+/// Monte-Carlo chip loop and answers as a core::SimulatedChip. `problem`
+/// must outlive the population.
+class SimulatedTesters {
+ public:
+  SimulatedTesters(const core::Problem& problem, std::size_t chips,
+                   std::uint64_t seed_base);
+
+  /// Die `chip`'s answer to a `stimulus` line (pass/fail per armed pair)
+  /// or, when `final`, to a `final` line (the one go/no-go bit).
+  [[nodiscard]] std::vector<bool> answer(std::size_t chip,
+                                         const core::Stimulus& stimulus,
+                                         bool final) const;
+
+ private:
+  const core::Problem* problem_;
+  std::vector<timing::Chip> dies_;
+};
+
+/// Response bits in wire form: '1' (pass) or '0' (fail) per entry.
+[[nodiscard]] std::string encode_bits(const std::vector<bool>& pass);
 
 /// Streams `chips` per-chip TuningSessions of one shared TunerService over
 /// the protocol above. The service must outlive the server.

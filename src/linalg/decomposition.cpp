@@ -6,10 +6,6 @@
 
 namespace effitest::linalg {
 
-std::vector<double> Cholesky::solve(std::span<const double> b) const {
-  return backward_substitute(l, forward_substitute(l, b));
-}
-
 Matrix Cholesky::solve(const Matrix& b) const {
   if (b.rows() != l.rows()) {
     throw LinalgError("Cholesky::solve dimension mismatch");

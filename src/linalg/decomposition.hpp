@@ -18,10 +18,7 @@ namespace effitest::linalg {
 struct Cholesky {
   Matrix l;  ///< lower-triangular factor
 
-  /// Solve A x = b using the factorization (forward + backward substitution).
-  [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
-
-  /// Solve A X = B column-by-column.
+  /// Solve A X = B for every column of B (forward + backward substitution).
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 
 #include "linalg/kernels.hpp"
 
@@ -35,48 +34,10 @@ Matrix Matrix::diagonal(std::span<const double> diag) {
   return m;
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) {
-    throw LinalgError("Matrix::at index out of range");
-  }
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) {
-    throw LinalgError("Matrix::at index out of range");
-  }
-  return (*this)(r, c);
-}
-
-std::span<double> Matrix::row(std::size_t r) {
-  if (r >= rows_) throw LinalgError("Matrix::row index out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  if (r >= rows_) throw LinalgError("Matrix::row index out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
 std::vector<double> Matrix::column(std::size_t c) const {
   if (c >= cols_) throw LinalgError("Matrix::column index out of range");
   std::vector<double> out(rows_);
   for (std::size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
-  return out;
-}
-
-Matrix Matrix::block(std::size_t r0, std::size_t c0, std::size_t nr,
-                     std::size_t nc) const {
-  if (r0 + nr > rows_ || c0 + nc > cols_) {
-    throw LinalgError("Matrix::block out of range");
-  }
-  Matrix out(nr, nc);
-  for (std::size_t r = 0; r < nr; ++r) {
-    for (std::size_t c = 0; c < nc; ++c) {
-      out(r, c) = (*this)(r0 + r, c0 + c);
-    }
-  }
   return out;
 }
 
@@ -103,45 +64,10 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-Matrix& Matrix::operator+=(const Matrix& rhs) {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw LinalgError("Matrix += dimension mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& rhs) {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw LinalgError("Matrix -= dimension mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& v : data_) v *= s;
-  return *this;
-}
-
 Matrix Matrix::operator*(const Matrix& rhs) const {
   // Blocked and (for large products) pool-parallel kernel; element values
   // accumulate in the same k-ascending order as the historical i-k-j loop.
   return kernels::matmul(*this, rhs);
-}
-
-std::vector<double> Matrix::operator*(std::span<const double> v) const {
-  if (cols_ != v.size()) {
-    throw LinalgError("Matrix * vector dimension mismatch");
-  }
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row_ptr[c] * v[c];
-    out[r] = acc;
-  }
-  return out;
 }
 
 bool Matrix::approx_equal(const Matrix& rhs, double tol) const {
@@ -172,17 +98,6 @@ void Matrix::symmetrize() {
       (*this)(c, r) = avg;
     }
   }
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) {
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    os << (r == 0 ? "[" : " ");
-    for (std::size_t c = 0; c < m.cols(); ++c) {
-      os << m(r, c) << (c + 1 < m.cols() ? ", " : "");
-    }
-    os << (r + 1 < m.rows() ? ";\n" : "]");
-  }
-  return os;
 }
 
 }  // namespace effitest::linalg

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -56,14 +55,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked access.
-  [[nodiscard]] double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
-  /// View of row r as a contiguous span.
-  [[nodiscard]] std::span<double> row(std::size_t r);
-  [[nodiscard]] std::span<const double> row(std::size_t r) const;
-
   /// Raw storage (row-major).
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
   [[nodiscard]] std::span<double> data() noexcept { return data_; }
@@ -71,44 +62,16 @@ class Matrix {
   /// Extract a column as a vector.
   [[nodiscard]] std::vector<double> column(std::size_t c) const;
 
-  /// Submatrix rows [r0, r0+nr) x cols [c0, c0+nc).
-  [[nodiscard]] Matrix block(std::size_t r0, std::size_t c0, std::size_t nr,
-                             std::size_t nc) const;
-
   /// Submatrix formed by the given row and column index sets (in order).
   [[nodiscard]] Matrix select(std::span<const std::size_t> row_idx,
                               std::span<const std::size_t> col_idx) const;
 
   [[nodiscard]] Matrix transposed() const;
 
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
-  Matrix& operator*=(double s);
-
-  [[nodiscard]] friend Matrix operator+(Matrix a, const Matrix& b) {
-    a += b;
-    return a;
-  }
-  [[nodiscard]] friend Matrix operator-(Matrix a, const Matrix& b) {
-    a -= b;
-    return a;
-  }
-  [[nodiscard]] friend Matrix operator*(Matrix a, double s) {
-    a *= s;
-    return a;
-  }
-  [[nodiscard]] friend Matrix operator*(double s, Matrix a) {
-    a *= s;
-    return a;
-  }
-
   /// Matrix product (this * rhs).
   [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
 
-  /// Matrix-vector product.
-  [[nodiscard]] std::vector<double> operator*(std::span<const double> v) const;
-
-  /// Frobenius-norm distance check against another matrix.
+  /// Same shape and every entry within `tol` of rhs's.
   [[nodiscard]] bool approx_equal(const Matrix& rhs, double tol = 1e-9) const;
 
   /// Largest absolute asymmetry |a_ij - a_ji|; 0 for symmetric matrices.
@@ -122,7 +85,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
 
 }  // namespace effitest::linalg

@@ -56,11 +56,6 @@ int Model::add_constraint(std::vector<Term> terms, Sense sense, double rhs,
   return static_cast<int>(constraints_.size()) - 1;
 }
 
-void Model::set_objective(int var, double coeff) {
-  check_var(var);
-  variables_[static_cast<std::size_t>(var)].objective = coeff;
-}
-
 void Model::set_bounds(int var, double lower, double upper) {
   check_var(var);
   if (lower > upper) throw ModelError("set_bounds: lower exceeds upper");
@@ -72,13 +67,6 @@ void Model::set_bounds(int var, double lower, double upper) {
 const Variable& Model::variable(int idx) const {
   check_var(idx);
   return variables_[static_cast<std::size_t>(idx)];
-}
-
-const Constraint& Model::constraint(int idx) const {
-  if (idx < 0 || static_cast<std::size_t>(idx) >= constraints_.size()) {
-    throw ModelError("constraint index out of range");
-  }
-  return constraints_[static_cast<std::size_t>(idx)];
 }
 
 bool Model::has_integer_variables() const {

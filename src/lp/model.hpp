@@ -68,7 +68,6 @@ class Model {
   int add_constraint(std::vector<Term> terms, Sense sense, double rhs,
                      std::string name = "");
 
-  void set_objective(int var, double coeff);
   void set_bounds(int var, double lower, double upper);
 
   [[nodiscard]] std::size_t num_variables() const { return variables_.size(); }
@@ -76,7 +75,6 @@ class Model {
     return constraints_.size();
   }
   [[nodiscard]] const Variable& variable(int idx) const;
-  [[nodiscard]] const Constraint& constraint(int idx) const;
   [[nodiscard]] const std::vector<Variable>& variables() const {
     return variables_;
   }

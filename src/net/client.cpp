@@ -1,28 +1,30 @@
 #include "net/client.hpp"
 
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/test_engine.hpp"
-#include "core/tuner_service.hpp"
+#include "io/tune_protocol.hpp"
 #include "net/socket.hpp"
-#include "parallel/deterministic_for.hpp"
-#include "stats/rng.hpp"
-#include "timing/model.hpp"
 
 namespace effitest::net {
 
 namespace {
 
-std::string encode_bits(const std::vector<bool>& pass) {
-  std::string bits(pass.size(), '0');
-  for (std::size_t i = 0; i < pass.size(); ++i) {
-    if (pass[i]) bits[i] = '1';
-  }
-  return bits;
+/// The digits after `key` in `token`; nullopt unless every byte after the
+/// key is a decimal digit and the value fits in 64 bits.
+std::optional<std::uint64_t> parse_field(const std::string& token,
+                                         const std::string& key) {
+  if (token.rfind(key, 0) != 0) return std::nullopt;
+  const char* first = token.data() + key.size();
+  const char* last = token.data() + token.size();
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return value;
 }
 
 [[noreturn]] void protocol_error(const std::string& line,
@@ -31,6 +33,19 @@ std::string encode_bits(const std::vector<bool>& pass) {
 }
 
 }  // namespace
+
+std::optional<Greeting> parse_greeting(const std::string& line) {
+  std::istringstream is(line);
+  std::string tag, version, session_kv, seed_kv, extra;
+  if (!(is >> tag >> version >> session_kv >> seed_kv) || (is >> extra) ||
+      tag != "serve" || version != "effitest-tune-v1") {
+    return std::nullopt;
+  }
+  const auto session = parse_field(session_kv, "session=");
+  const auto seed = parse_field(seed_kv, "seed=");
+  if (!session || !seed) return std::nullopt;
+  return Greeting{*session, *seed};
+}
 
 ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
                                  const core::Problem& problem,
@@ -57,38 +72,17 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
   if (!read_line()) {
     throw std::runtime_error("connect: server closed before greeting");
   }
-  {
-    std::istringstream is(line);
-    std::string tag, version, session_kv, seed_kv;
-    if (!(is >> tag)) protocol_error(line, "empty greeting");
-    if (tag == "error") {
-      throw std::runtime_error("connect: server rejected session: " + line);
-    }
-    if (!(is >> version >> session_kv >> seed_kv) || tag != "serve" ||
-        version != "effitest-tune-v1" ||
-        session_kv.rfind("session=", 0) != 0 ||
-        seed_kv.rfind("seed=", 0) != 0) {
-      protocol_error(line, "malformed greeting");
-    }
-    result.session_id = std::stoull(session_kv.substr(8));
-    result.seed_base = std::stoull(seed_kv.substr(5));
+  if (line.rfind("error ", 0) == 0) {
+    throw std::runtime_error("connect: server rejected session: " + line);
   }
-
-  // Dies sampled exactly like run_flow's Monte-Carlo loop under the
-  // server-supplied base, so the reports match `tune --simulate`.
-  const timing::CircuitModel& model = problem.model();
-  std::vector<timing::Chip> dies;
-  dies.reserve(options.chips);
-  timing::SampleWorkspace ws;
-  for (std::size_t c = 0; c < options.chips; ++c) {
-    stats::Rng rng(parallel::index_seed(result.seed_base, c));
-    dies.push_back(model.sample_chip(rng, ws));
-  }
-  std::vector<core::SimulatedChip> testers;
-  testers.reserve(options.chips);
-  for (std::size_t c = 0; c < options.chips; ++c) {
-    testers.emplace_back(problem, dies[c]);
-  }
+  const std::optional<Greeting> greeting = parse_greeting(line);
+  if (!greeting) protocol_error(line, "malformed greeting");
+  result.session_id = greeting->session_id;
+  result.seed_base = greeting->seed_base;
+  // Dies sampled under the server-supplied base, so the reports match
+  // `tune --simulate`.
+  const io::SimulatedTesters testers(problem, options.chips,
+                                     result.seed_base);
 
   // The standard exchange: answer stimulus/final lines until bye. The
   // response is written with plain '\n'; SocketStream flushes pending
@@ -143,13 +137,8 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
         stim.steps.push_back(step);
       }
     }
-    std::vector<bool> pass;
-    if (tag == "final") {
-      pass.assign(1, testers[chip].final_test(stim.period, stim.steps));
-    } else {
-      pass = testers[chip].apply(stim);
-    }
-    stream << "response " << chip << ' ' << seq << ' ' << encode_bits(pass)
+    stream << "response " << chip << ' ' << seq << ' '
+           << io::encode_bits(testers.answer(chip, stim, tag == "final"))
            << '\n';
     ++result.stimuli_answered;
   }

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,18 @@ struct ClientResult {
   std::uint64_t session_id = 0;
   std::uint64_t seed_base = 0;  ///< from the serve greeting
 };
+
+/// The serve greeting `serve effitest-tune-v1 session=<id> seed=<base>`.
+struct Greeting {
+  std::uint64_t session_id = 0;
+  std::uint64_t seed_base = 0;
+};
+
+/// Parse a serve greeting strictly: exactly the four fields above, each
+/// number plain decimal digits that fit in 64 bits (no sign, no trailing
+/// bytes). nullopt for anything else — the seed base is what keeps a
+/// session's dies, and a fleet migration's replay, deterministic.
+[[nodiscard]] std::optional<Greeting> parse_greeting(const std::string& line);
 
 /// Run one whole tuning session against a live server. Throws
 /// std::runtime_error on connection failure, a protocol violation, or a

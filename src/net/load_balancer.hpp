@@ -1,25 +1,21 @@
 #pragma once
-// Worker-priority dispatch queue for the session server
-// (net/session_server.hpp).
+// Dispatch queue for the session server (net/session_server.hpp).
 //
-// Each worker owns a deque; dispatch() pushes a task onto the deque of the
-// least-loaded worker, where load = tasks queued for it + the task it is
-// currently running. A worker pops from the front of its own deque and,
-// when that is empty, steals from the BACK of the most-loaded sibling, so
-// one long tuning session never strands the connections queued behind it
-// while other workers sit idle.
+// One FIFO deque shared by every worker: dispatch() appends a task, and
+// whichever worker is idle pops the oldest one. Any idle worker therefore
+// takes queued work, so one long tuning session never strands the
+// connections queued behind it, and connections are served in accept
+// order.
 //
-// The accept loop reads queued() for backpressure: when the total backlog
+// The accept loop reads queued() for backpressure: when the backlog
 // reaches ServerOptions::max_pending it simply stops accepting — pending
 // connections wait in the kernel's listen backlog instead of a user-space
 // queue, so no client is ever busy-rejected (a requirement for driving
 // hundreds of concurrent loopback sessions through a handful of workers).
 //
-// One mutex guards all deques. At session granularity (a task is a whole
-// TCP connection, served for many milliseconds) the contention is
-// irrelevant and the single lock keeps close()/steal semantics trivially
-// race-free — this is not a work-stealing scheduler for microtasks; that
-// lives in parallel/thread_pool.hpp.
+// A task is a whole TCP connection, served for many milliseconds, so one
+// mutex is all the synchronisation needed — this is not a scheduler for
+// microtasks; that lives in parallel/thread_pool.hpp.
 
 #include <condition_variable>
 #include <cstddef>
@@ -27,73 +23,32 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace effitest::net {
 
 template <typename Task>
 class LoadBalancer {
  public:
-  explicit LoadBalancer(std::size_t workers)
-      : queues_(workers == 0 ? 1 : workers),
-        running_(queues_.size(), false) {}
-
-  [[nodiscard]] std::size_t workers() const { return queues_.size(); }
-
-  /// Enqueue for the least-loaded worker. Returns false (task dropped)
-  /// after close().
+  /// Append to the queue. Returns false (task dropped) after close().
   bool dispatch(Task task) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_) return false;
-      std::size_t best = 0;
-      std::size_t best_load = load_locked(0);
-      for (std::size_t w = 1; w < queues_.size(); ++w) {
-        const std::size_t load = load_locked(w);
-        if (load < best_load) {
-          best = w;
-          best_load = load;
-        }
-      }
-      queues_[best].push_back(std::move(task));
-      ++queued_;
+      queue_.push_back(std::move(task));
     }
-    ready_.notify_all();
+    ready_.notify_one();
     return true;
   }
 
-  /// Blocking pop for worker `w`: own queue first, then steal from the
-  /// most-loaded sibling. Empty optional = closed and fully drained; the
-  /// worker should exit. Pair the returned task with task_done(w).
-  [[nodiscard]] std::optional<Task> next(std::size_t w) {
+  /// Blocking pop of the oldest task. Empty optional = closed and fully
+  /// drained; the worker should exit.
+  [[nodiscard]] std::optional<Task> next() {
     std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      if (!queues_[w].empty()) {
-        Task task = std::move(queues_[w].front());
-        queues_[w].pop_front();
-        return claim_locked(w, std::move(task));
-      }
-      std::size_t victim = queues_.size();
-      std::size_t victim_size = 0;
-      for (std::size_t v = 0; v < queues_.size(); ++v) {
-        if (queues_[v].size() > victim_size) {
-          victim = v;
-          victim_size = queues_[v].size();
-        }
-      }
-      if (victim < queues_.size()) {
-        Task task = std::move(queues_[victim].back());
-        queues_[victim].pop_back();
-        return claim_locked(w, std::move(task));
-      }
-      if (closed_) return std::nullopt;
-      ready_.wait(lock);
-    }
-  }
-
-  void task_done(std::size_t w) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    running_[w] = false;
+    ready_.wait(lock, [this] { return closed_ || !queue_.empty(); });
+    if (queue_.empty()) return std::nullopt;
+    std::optional<Task> task(std::move(queue_.front()));
+    queue_.pop_front();
+    return task;
   }
 
   /// No further dispatches; blocked workers drain the backlog then exit.
@@ -109,25 +64,13 @@ class LoadBalancer {
   /// backpressure signal and the queue_depth gauge).
   [[nodiscard]] std::size_t queued() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return queued_;
+    return queue_.size();
   }
 
  private:
-  [[nodiscard]] std::size_t load_locked(std::size_t w) const {
-    return queues_[w].size() + (running_[w] ? 1 : 0);
-  }
-
-  [[nodiscard]] std::optional<Task> claim_locked(std::size_t w, Task task) {
-    --queued_;
-    running_[w] = true;
-    return std::optional<Task>(std::move(task));
-  }
-
   mutable std::mutex mutex_;
   std::condition_variable ready_;
-  std::vector<std::deque<Task>> queues_;
-  std::vector<bool> running_;  ///< guarded by mutex_ (not atomic-per-bit)
-  std::size_t queued_ = 0;
+  std::deque<Task> queue_;
   bool closed_ = false;
 };
 

@@ -11,7 +11,7 @@ namespace effitest::net {
 
 SessionServer::SessionServer(ServerOptions options, std::size_t workers,
                              const SessionMetricNames& names)
-    : options_(std::move(options)), pool_(workers == 0 ? 1 : workers) {
+    : options_(std::move(options)), workers_(workers == 0 ? 1 : workers) {
   // Registration order is status JSON order (SessionMetricNames).
   accepted_ = &registry_.counter(names.accepted);
   completed_ = &registry_.counter(names.completed);
@@ -57,10 +57,10 @@ void SessionServer::start() {
     std::lock_guard<std::mutex> lock(time_mutex_);
     started_at_ = std::chrono::steady_clock::now();
   }
-  threads_.reserve(pool_.workers() + 1);
+  threads_.reserve(workers_ + 1);
   threads_.emplace_back([this] { accept_loop(); });
-  for (std::size_t w = 0; w < pool_.workers(); ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
+  for (std::size_t w = 0; w < workers_; ++w) {
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -155,11 +155,8 @@ void SessionServer::answer_status_connection() {
   (void)std::getline(stream, discard);
 }
 
-void SessionServer::worker_loop(std::size_t w) {
-  while (auto task = pool_.next(w)) {
-    handle_connection(std::move(*task));
-    pool_.task_done(w);
-  }
+void SessionServer::worker_loop() {
+  while (auto task = pool_.next()) handle_connection(std::move(*task));
 }
 
 std::optional<std::string> SessionServer::answer_status(

@@ -5,9 +5,9 @@
 // supplies handle_connection(); everything around that lives here.
 //
 // Concurrency shape: an accept thread hands connections to a
-// net::LoadBalancer of `workers` session threads (worker-priority deques +
-// stealing, load_balancer.hpp), each of which runs handle_connection()
-// on one connection at a time. Backpressure is accept-pausing: when the
+// net::LoadBalancer (one FIFO queue, load_balancer.hpp) drained by
+// `workers` session threads, each of which runs handle_connection() on
+// one connection at a time. Backpressure is accept-pausing: when the
 // un-claimed backlog reaches `max_pending` the accept loop stops calling
 // accept() and pending connections wait in the kernel listen backlog —
 // nobody is busy-rejected.
@@ -153,13 +153,14 @@ class SessionServer {
  private:
   void accept_loop();
   void answer_status_connection();
-  void worker_loop(std::size_t w);
+  void worker_loop();
 
   ServerOptions options_;
   std::unique_ptr<Listener> listener_;
   std::unique_ptr<Listener> status_listener_;
   std::uint16_t port_ = 0;
   std::uint16_t status_port_ = 0;
+  std::size_t workers_;
   LoadBalancer<Socket> pool_;
   std::vector<std::thread> threads_;
   Socket drain_pipe_r_;

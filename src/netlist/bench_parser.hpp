@@ -38,7 +38,14 @@ class BenchParseError : public std::runtime_error {
 [[nodiscard]] Netlist parse_bench_string(const std::string& text,
                                          std::string name = "bench");
 
-/// Parse .bench from a file path.
+/// Parse .bench text honouring the "#!place <name> <x> <y>" placement
+/// comments write_bench emits (plain parse_bench ignores them).
+[[nodiscard]] Netlist parse_bench_with_placement(const std::string& text,
+                                                 std::string name = "bench");
+
+/// Parse a .bench file, named after its base name: with placement when the
+/// file carries "#!place" lines, otherwise with the synthetic topological
+/// layout.
 [[nodiscard]] Netlist parse_bench_file(const std::string& path);
 
 }  // namespace effitest::netlist

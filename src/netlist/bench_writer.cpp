@@ -3,9 +3,6 @@
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
-
-#include "netlist/bench_parser.hpp"
 
 namespace effitest::netlist {
 
@@ -46,55 +43,11 @@ void write_bench(const Netlist& netlist, std::ostream& out,
   }
 }
 
-std::string write_bench_string(const Netlist& netlist,
-                               const BenchWriteOptions& options) {
-  std::ostringstream os;
-  write_bench(netlist, os, options);
-  return os.str();
-}
-
 void write_bench_file(const Netlist& netlist, const std::string& path,
                       const BenchWriteOptions& options) {
   std::ofstream out(path);
   if (!out) throw NetlistError("cannot open .bench file for writing: " + path);
   write_bench(netlist, out, options);
-}
-
-Netlist parse_bench_file_with_placement(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw NetlistError("cannot open .bench file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string name = path;
-  const std::size_t slash = name.find_last_of('/');
-  if (slash != std::string::npos) name = name.substr(slash + 1);
-  const std::size_t dot = name.find_last_of('.');
-  if (dot != std::string::npos) name = name.substr(0, dot);
-  const std::string text = buffer.str();
-  if (text.find("#!place ") != std::string::npos) {
-    return parse_bench_with_placement(text, std::move(name));
-  }
-  return parse_bench_string(text, std::move(name));
-}
-
-Netlist parse_bench_with_placement(const std::string& text, std::string name) {
-  Netlist nl = parse_bench_string(text, std::move(name));
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("#!place ", 0) != 0) continue;
-    std::istringstream fields(line.substr(8));
-    std::string cell;
-    double x = 0.0;
-    double y = 0.0;
-    if (!(fields >> cell >> x >> y)) {
-      throw NetlistError("malformed #!place line: " + line);
-    }
-    const int id = nl.find(cell);
-    if (id < 0) throw NetlistError("#!place references unknown cell: " + cell);
-    nl.set_position(id, Point{x, y});
-  }
-  return nl;
 }
 
 }  // namespace effitest::netlist

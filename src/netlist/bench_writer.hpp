@@ -4,8 +4,9 @@
 // Lets users export generated benchmark circuits for inspection or for use
 // with external EDA tools, and gives the test suite a parse/write round-trip
 // oracle. Placement is not part of the .bench format; an optional sidecar
-// format ("#!place name x y" comment lines, understood by this module's
-// reader extension) preserves it losslessly.
+// format ("#!place name x y" comment lines, understood by
+// parse_bench_with_placement and parse_bench_file) preserves it
+// losslessly.
 
 #include <iosfwd>
 #include <string>
@@ -25,19 +26,7 @@ struct BenchWriteOptions {
 void write_bench(const Netlist& netlist, std::ostream& out,
                  const BenchWriteOptions& options = {});
 
-[[nodiscard]] std::string write_bench_string(
-    const Netlist& netlist, const BenchWriteOptions& options = {});
-
 void write_bench_file(const Netlist& netlist, const std::string& path,
                       const BenchWriteOptions& options = {});
-
-/// Parse .bench text honouring the "#!place" placement sidecar comments
-/// emitted by write_bench (plain parse_bench ignores them as comments).
-[[nodiscard]] Netlist parse_bench_with_placement(const std::string& text,
-                                                 std::string name = "bench");
-
-/// File variant: parses with placement when the file carries "#!place"
-/// lines, otherwise falls back to the synthetic topological layout.
-[[nodiscard]] Netlist parse_bench_file_with_placement(const std::string& path);
 
 }  // namespace effitest::netlist

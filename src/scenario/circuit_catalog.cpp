@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "netlist/bench_writer.hpp"
+#include "netlist/bench_parser.hpp"
 #include "timing/graph.hpp"
 
 namespace effitest::scenario {
@@ -286,8 +286,7 @@ CircuitCatalog::Prepared CircuitCatalog::build(const std::string& name,
           },
           [&](const netlist::GeneratorSpec& g) { return from_generated(g); },
           [&](const BenchCircuit& b) {
-            netlist::Netlist nl =
-                netlist::parse_bench_file_with_placement(b.path);
+            netlist::Netlist nl = netlist::parse_bench_file(b.path);
             netlist::CellLibrary library = netlist::CellLibrary::standard();
             const std::size_t nb = b.num_buffers.value_or(
                 std::max<std::size_t>(1, nl.num_flip_flops() / 100));

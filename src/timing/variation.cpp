@@ -122,12 +122,6 @@ double VariationModel::systematic_sigma(netlist::CellType type) const {
   return t.nominal_delay_ps * std::sqrt(v);
 }
 
-std::vector<double> VariationModel::sample_factors(stats::Rng& rng) const {
-  std::vector<double> z;
-  sample_factors(rng, z);
-  return z;
-}
-
 void VariationModel::sample_factors(stats::Rng& rng,
                                     std::vector<double>& out) const {
   out.resize(num_factors_);

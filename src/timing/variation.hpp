@@ -78,10 +78,8 @@ class VariationModel {
   /// Systematic delay sigma (ps) of one isolated gate instance.
   [[nodiscard]] double systematic_sigma(netlist::CellType type) const;
 
-  /// One draw of the global factor vector (iid standard normals).
-  [[nodiscard]] std::vector<double> sample_factors(stats::Rng& rng) const;
-
-  /// Same draw into a reusable buffer (resized to the factor count).
+  /// One draw of the global factor vector (iid standard normals) into a
+  /// reusable buffer, resized to the factor count.
   void sample_factors(stats::Rng& rng, std::vector<double>& out) const;
 
  private:

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace effitest::linalg {
 namespace {
 
@@ -50,35 +48,12 @@ TEST(Matrix, Diagonal) {
   EXPECT_DOUBLE_EQ(m(0, 1), 0.0);
 }
 
-TEST(Matrix, AtBoundsChecked) {
-  Matrix m(2, 2);
-  EXPECT_THROW(static_cast<void>(m.at(2, 0)), LinalgError);
-  EXPECT_THROW(static_cast<void>(m.at(0, 2)), LinalgError);
-  EXPECT_NO_THROW(static_cast<void>(m.at(1, 1)));
-}
-
-TEST(Matrix, RowSpanWritesThrough) {
-  Matrix m(2, 3);
-  auto row = m.row(1);
-  row[2] = 7.0;
-  EXPECT_DOUBLE_EQ(m(1, 2), 7.0);
-  EXPECT_THROW(static_cast<void>(m.row(5)), LinalgError);
-}
-
 TEST(Matrix, Column) {
   const Matrix m{{1.0, 2.0}, {3.0, 4.0}};
   const std::vector<double> c = m.column(1);
   ASSERT_EQ(c.size(), 2u);
   EXPECT_DOUBLE_EQ(c[0], 2.0);
   EXPECT_DOUBLE_EQ(c[1], 4.0);
-}
-
-TEST(Matrix, Block) {
-  const Matrix m{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
-  const Matrix b = m.block(1, 1, 2, 2);
-  EXPECT_DOUBLE_EQ(b(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(b(1, 1), 9.0);
-  EXPECT_THROW(m.block(2, 2, 2, 2), LinalgError);
 }
 
 TEST(Matrix, Select) {
@@ -98,23 +73,6 @@ TEST(Matrix, Transposed) {
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
-TEST(Matrix, AddSubtractScale) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const Matrix b{{4, 3}, {2, 1}};
-  const Matrix sum = a + b;
-  EXPECT_DOUBLE_EQ(sum(0, 0), 5.0);
-  const Matrix diff = a - b;
-  EXPECT_DOUBLE_EQ(diff(1, 1), 3.0);
-  const Matrix scaled = 2.0 * a;
-  EXPECT_DOUBLE_EQ(scaled(1, 0), 6.0);
-}
-
-TEST(Matrix, AddDimensionMismatchThrows) {
-  Matrix a(2, 2);
-  const Matrix b(2, 3);
-  EXPECT_THROW(a += b, LinalgError);
 }
 
 TEST(Matrix, Multiply) {
@@ -139,14 +97,6 @@ TEST(Matrix, MultiplyDimensionMismatchThrows) {
   EXPECT_THROW(a * b, LinalgError);
 }
 
-TEST(Matrix, MatVec) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const std::vector<double> v{1.0, 1.0};
-  const std::vector<double> out = a * v;
-  EXPECT_DOUBLE_EQ(out[0], 3.0);
-  EXPECT_DOUBLE_EQ(out[1], 7.0);
-}
-
 TEST(Matrix, ApproxEqualTolerance) {
   const Matrix a{{1.0}};
   const Matrix b{{1.0 + 1e-12}};
@@ -161,14 +111,6 @@ TEST(Matrix, SymmetrizeAndAsymmetry) {
   EXPECT_DOUBLE_EQ(m(0, 1), 3.0);
   EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
   EXPECT_DOUBLE_EQ(m.max_asymmetry(), 0.0);
-}
-
-TEST(Matrix, StreamOutput) {
-  const Matrix m{{1, 2}, {3, 4}};
-  std::ostringstream os;
-  os << m;
-  EXPECT_NE(os.str().find('1'), std::string::npos);
-  EXPECT_NE(os.str().find('4'), std::string::npos);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TEST(Model, ConstraintMergesDuplicateTerms) {
   Model m;
   const int x = m.add_continuous(0.0, 10.0);
   m.add_constraint({{x, 1.0}, {x, 2.0}}, Sense::kLessEqual, 6.0);
-  const Constraint& c = m.constraint(0);
+  const Constraint& c = m.constraints()[0];
   ASSERT_EQ(c.terms.size(), 1u);
   EXPECT_DOUBLE_EQ(c.terms[0].coeff, 3.0);
 }
@@ -46,8 +46,8 @@ TEST(Model, ConstraintDropsZeroCoefficients) {
   const int x = m.add_continuous(0.0, 10.0);
   const int y = m.add_continuous(0.0, 10.0);
   m.add_constraint({{x, 1.0}, {x, -1.0}, {y, 2.0}}, Sense::kEqual, 4.0);
-  EXPECT_EQ(m.constraint(0).terms.size(), 1u);
-  EXPECT_EQ(m.constraint(0).terms[0].var, y);
+  EXPECT_EQ(m.constraints()[0].terms.size(), 1u);
+  EXPECT_EQ(m.constraints()[0].terms[0].var, y);
 }
 
 TEST(Model, ConstraintRejectsBadVariable) {
@@ -55,13 +55,12 @@ TEST(Model, ConstraintRejectsBadVariable) {
   EXPECT_THROW(m.add_constraint({{5, 1.0}}, Sense::kLessEqual, 0.0), ModelError);
 }
 
-TEST(Model, SetBoundsAndObjective) {
+TEST(Model, SetBounds) {
   Model m;
   const int x = m.add_continuous(0.0, 1.0);
   m.set_bounds(x, -2.0, 2.0);
-  m.set_objective(x, 7.0);
   EXPECT_DOUBLE_EQ(m.variable(x).lower, -2.0);
-  EXPECT_DOUBLE_EQ(m.variable(x).objective, 7.0);
+  EXPECT_DOUBLE_EQ(m.variable(x).upper, 2.0);
   EXPECT_THROW(m.set_bounds(x, 3.0, 1.0), ModelError);
 }
 

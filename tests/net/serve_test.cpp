@@ -558,41 +558,54 @@ TEST(ServeLoop, StatusPollsAreLiveMonotonicAndUnperturbing) {
   EXPECT_EQ(end.counter(net::kMetricSessionsCompleted), 1u);
 }
 
-TEST(LoadBalancer, DispatchPrefersLeastLoadedWorker) {
-  net::LoadBalancer<int> lb(3);
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(lb.dispatch(i));
-  EXPECT_EQ(lb.queued(), 6u);
-  // Round-robin-by-load: every worker's own queue got two tasks, so each
-  // worker's first own pop is 0/1/2 in dispatch order.
-  const auto a = lb.next(0);
-  const auto b = lb.next(1);
-  const auto c = lb.next(2);
-  ASSERT_TRUE(a && b && c);
-  EXPECT_EQ(*a + *b + *c, 0 + 1 + 2);
-  EXPECT_EQ(lb.queued(), 3u);
+TEST(Greeting, ParsesWellFormedGreeting) {
+  const auto g = net::parse_greeting(
+      "serve effitest-tune-v1 session=7 seed=18446744073709551615");
+  ASSERT_TRUE(g);
+  EXPECT_EQ(g->session_id, 7u);
+  EXPECT_EQ(g->seed_base, 18446744073709551615ull);
 }
 
-TEST(LoadBalancer, IdleWorkerStealsFromLoadedSibling) {
-  net::LoadBalancer<int> lb(2);
-  // Worker 0 is busy (claimed a task, never finished); everything else
-  // queues behind it or lands on worker 1.
-  EXPECT_TRUE(lb.dispatch(10));
-  const auto first = lb.next(0);
-  ASSERT_TRUE(first);
-  EXPECT_EQ(*first, 10);
-  EXPECT_TRUE(lb.dispatch(11));  // worker 1 (load 0) beats worker 0 (busy)
-  EXPECT_TRUE(lb.dispatch(12));
-  const auto stolen = lb.next(1);
-  ASSERT_TRUE(stolen);
-  lb.task_done(1);
-  const auto second = lb.next(1);  // own queue or steal — drains regardless
-  ASSERT_TRUE(second);
-  EXPECT_EQ(*stolen + *second, 11 + 12);
+TEST(Greeting, RejectsSignsTrailingBytesOverflowAndMissingFields) {
+  for (const char* bad : {
+           "serve effitest-tune-v1 session=1 seed=-1",
+           "serve effitest-tune-v1 session=1 seed=+1",
+           "serve effitest-tune-v1 session=1 seed=12abc",
+           "serve effitest-tune-v1 session=1 seed=18446744073709551616",
+           "serve effitest-tune-v1 session=1 seed=",
+           "serve effitest-tune-v1 seed=1",
+           "serve effitest-tune-v1 session=x seed=1",
+           "serve effitest-tune-v1 session=1 seed=1 extra",
+           "serve effitest-tune-v2 session=1 seed=1",
+           "error - busy",
+           "",
+       }) {
+    EXPECT_FALSE(net::parse_greeting(bad)) << bad;
+  }
+}
+
+TEST(LoadBalancer, ServesOldestTaskFirst) {
+  net::LoadBalancer<int> lb;
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(lb.dispatch(i));
+  EXPECT_EQ(lb.queued(), 4u);
+  for (int i = 0; i < 2; ++i) {
+    const auto task = lb.next();
+    ASSERT_TRUE(task);
+    EXPECT_EQ(*task, i);
+  }
+  EXPECT_EQ(lb.queued(), 2u);
+  // A dispatch after a claim still queues behind the older tasks.
+  EXPECT_TRUE(lb.dispatch(4));
+  for (int i = 2; i < 5; ++i) {
+    const auto task = lb.next();
+    ASSERT_TRUE(task);
+    EXPECT_EQ(*task, i);
+  }
   EXPECT_EQ(lb.queued(), 0u);
 }
 
 TEST(LoadBalancer, CloseDrainsBacklogThenReleasesWorkers) {
-  net::LoadBalancer<int> lb(2);
+  net::LoadBalancer<int> lb;
   EXPECT_TRUE(lb.dispatch(1));
   EXPECT_TRUE(lb.dispatch(2));
   lb.close();
@@ -600,11 +613,8 @@ TEST(LoadBalancer, CloseDrainsBacklogThenReleasesWorkers) {
   std::atomic<int> drained{0};
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < 2; ++w) {
-    workers.emplace_back([&, w] {
-      while (auto task = lb.next(w)) {
-        drained.fetch_add(*task);
-        lb.task_done(w);
-      }
+    workers.emplace_back([&] {
+      while (auto task = lb.next()) drained.fetch_add(*task);
     });
   }
   for (std::thread& t : workers) t.join();

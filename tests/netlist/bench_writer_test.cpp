@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
 
@@ -19,8 +22,14 @@ Netlist small() {
   return nl;
 }
 
+std::string bench_text(const Netlist& nl, const BenchWriteOptions& opts = {}) {
+  std::ostringstream os;
+  write_bench(nl, os, opts);
+  return os.str();
+}
+
 TEST(BenchWriter, EmitsAllSections) {
-  const std::string text = write_bench_string(small());
+  const std::string text = bench_text(small());
   EXPECT_NE(text.find("INPUT(a)"), std::string::npos);
   EXPECT_NE(text.find("INPUT(b)"), std::string::npos);
   EXPECT_NE(text.find("OUTPUT(g2)"), std::string::npos);
@@ -33,7 +42,7 @@ TEST(BenchWriter, EmitsAllSections) {
 TEST(BenchWriter, RoundTripPreservesStructure) {
   const Netlist original = small();
   const Netlist parsed =
-      parse_bench_string(write_bench_string(original), "small");
+      parse_bench_string(bench_text(original), "small");
   EXPECT_EQ(parsed.num_cells(), original.num_cells());
   EXPECT_EQ(parsed.num_flip_flops(), original.num_flip_flops());
   EXPECT_EQ(parsed.num_combinational_gates(),
@@ -50,7 +59,7 @@ TEST(BenchWriter, RoundTripPreservesStructure) {
 TEST(BenchWriter, PlacementRoundTrip) {
   const Netlist original = small();
   const Netlist parsed =
-      parse_bench_with_placement(write_bench_string(original), "small");
+      parse_bench_with_placement(bench_text(original), "small");
   for (const Cell& c : original.cells()) {
     const Cell& p = parsed.cell(parsed.find(c.name));
     EXPECT_NEAR(p.position.x, c.position.x, 1e-9) << c.name;
@@ -62,7 +71,7 @@ TEST(BenchWriter, PlacementOptionalOff) {
   BenchWriteOptions opts;
   opts.include_placement = false;
   opts.include_header = false;
-  const std::string text = write_bench_string(small(), opts);
+  const std::string text = bench_text(small(), opts);
   EXPECT_EQ(text.find("#!place"), std::string::npos);
   EXPECT_EQ(text.find("# small"), std::string::npos);
 }
@@ -75,7 +84,7 @@ TEST(BenchWriter, GeneratedCircuitRoundTrips) {
   spec.num_critical_paths = 12;
   spec.seed = 3;
   const GeneratedCircuit gen = generate_circuit(spec);
-  const std::string text = write_bench_string(gen.netlist);
+  const std::string text = bench_text(gen.netlist);
   const Netlist parsed = parse_bench_with_placement(text, "roundtrip");
   EXPECT_EQ(parsed.num_cells(), gen.netlist.num_cells());
   EXPECT_NO_THROW(parsed.validate());
@@ -102,6 +111,9 @@ TEST(BenchWriter, FileIo) {
   write_bench_file(original, path);
   const Netlist parsed = parse_bench_file(path);
   EXPECT_EQ(parsed.num_cells(), original.num_cells());
+  EXPECT_EQ(parsed.name(), "effitest_writer_test");
+  const Cell& g1 = parsed.cell(parsed.find("g1"));
+  EXPECT_NEAR(g1.position.x, 0.5, 1e-9);  // the #!place sidecar was read
   EXPECT_THROW(write_bench_file(original, "/nonexistent/dir/x.bench"),
                NetlistError);
 }

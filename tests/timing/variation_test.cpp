@@ -124,8 +124,11 @@ TEST(VariationModel, MismatchSigmaScalesWithFraction) {
 TEST(VariationModel, SampleFactorsSizeAndRandomness) {
   const VariationModel m(VariationParams{}, lib());
   stats::Rng rng(3);
-  const std::vector<double> z1 = m.sample_factors(rng);
-  const std::vector<double> z2 = m.sample_factors(rng);
+  std::vector<double> z1;
+  std::vector<double> z2(3, 0.0);  // resized to the factor count
+  m.sample_factors(rng, z1);
+  m.sample_factors(rng, z2);
+  EXPECT_EQ(z2.size(), m.num_factors());
   EXPECT_EQ(z1.size(), m.num_factors());
   EXPECT_NE(z1, z2);
 }

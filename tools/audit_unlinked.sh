@@ -18,10 +18,10 @@
 #                  tree builds into DIR, perfbench into DIR-perfbench
 #   --jobs N       parallel build jobs (default: 2)
 #   --check FILE   compare against an allow file instead of printing: each
-#                  non-comment line is "<kind> <symbol>", kind one of hook,
-#                  oracle or pending. Exits 1 if an unlinked function is
-#                  not listed or a kind is unknown; listed functions that
-#                  are linked again (or gone) are reported but pass.
+#                  non-comment line is "<kind> <symbol>", kind hook or
+#                  oracle. Exits 1 if an unlinked function is not listed,
+#                  a kind is unknown, or a listed function is stale (linked
+#                  again, or gone): the file lists exactly the unlinked set.
 set -euo pipefail
 
 source_dir="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -71,25 +71,26 @@ fi
 
 status=0
 bad_kinds=$(grep -v '^[[:space:]]*\(#\|$\)' "$allow_file" |
-  grep -v '^\(hook\|oracle\|pending\) ' || true)
+  grep -v '^\(hook\|oracle\) ' || true)
 if [[ -n "$bad_kinds" ]]; then
-  echo "audit: allow-file lines without a hook/oracle/pending kind:" >&2
+  echo "audit: allow-file lines without a hook/oracle kind:" >&2
   echo "$bad_kinds" >&2
   status=1
 fi
-grep '^\(hook\|oracle\|pending\) ' "$allow_file" | cut -d' ' -f2- |
+grep '^\(hook\|oracle\) ' "$allow_file" | cut -d' ' -f2- |
   sort -u > "$build_dir/allowed.syms"
 new=$(comm -23 "$build_dir/unlinked.syms" "$build_dir/allowed.syms")
 stale=$(comm -13 "$build_dir/unlinked.syms" "$build_dir/allowed.syms")
 if [[ -n "$new" ]]; then
   echo "audit: unlinked functions missing from $allow_file (delete them," >&2
-  echo "or list each with its kind: hook, oracle or pending):" >&2
+  echo "or list each with its kind: hook or oracle):" >&2
   echo "$new" >&2
   status=1
 fi
 if [[ -n "$stale" ]]; then
   echo "audit: listed in $allow_file but linked or gone (prune the line):" >&2
   echo "$stale" >&2
+  status=1
 fi
 echo "audit: $(wc -l < "$build_dir/unlinked.syms") unlinked function(s)," \
   "$(wc -l < "$build_dir/allowed.syms") allowed" >&2
