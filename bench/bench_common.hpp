@@ -11,16 +11,20 @@
 //   --threads=N    worker threads for the flow-driven benches (0 = all
 //                  cores; results are identical for any value — DESIGN.md
 //                  §8; the pure-solver ablations ignore it)
+// A malformed number (--chips=abc, --chips=-1) exits 2 naming the argument.
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/flow.hpp"
 #include "core/problem.hpp"
 #include "core/table.hpp"
+#include "io/fields.hpp"
 #include "netlist/generator.hpp"
 #include "timing/model.hpp"
 
@@ -33,16 +37,29 @@ struct BenchArgs {
   std::size_t threads = 0;  // 0 = all cores
 };
 
+/// The value of an unsigned `--name=value` argument, through the same
+/// strict parser as the CLI. A malformed value is a usage error: exit 2
+/// naming the argument, never an uncaught exception.
+inline std::uint64_t unsigned_arg(const std::string& arg) {
+  const io::UnsignedField field =
+      io::parse_unsigned(std::string_view(arg).substr(arg.find('=') + 1));
+  if (!field) {
+    std::cerr << "error: " << arg << ": expected an unsigned integer\n";
+    std::exit(2);
+  }
+  return field.value;
+}
+
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--chips=", 0) == 0) {
-      args.chips = static_cast<std::size_t>(std::stoul(a.substr(8)));
+      args.chips = unsigned_arg(a);
     } else if (a.rfind("--seed=", 0) == 0) {
-      args.seed = std::stoull(a.substr(7));
+      args.seed = unsigned_arg(a);
     } else if (a.rfind("--threads=", 0) == 0) {
-      args.threads = static_cast<std::size_t>(std::stoul(a.substr(10)));
+      args.threads = unsigned_arg(a);
     } else if (a.rfind("--circuits=", 0) == 0) {
       std::stringstream ss(a.substr(11));
       std::string piece;

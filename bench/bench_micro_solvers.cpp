@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "io/bench_json.hpp"
 #include "core/alignment.hpp"
 #include "core/configurator.hpp"
@@ -389,7 +390,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--threads=", 0) == 0) {
-      threads = static_cast<std::size_t>(std::stoul(a.substr(10)));
+      threads = effitest::bench::unsigned_arg(a);
     } else {
       kept.push_back(argv[i]);
     }

@@ -66,16 +66,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--clients=", 0) == 0) {
-      sargs.clients = std::stoul(a.substr(10));
+      sargs.clients = bench::unsigned_arg(a);
     } else if (a.rfind("--sessions=", 0) == 0) {
-      sargs.sessions = std::stoul(a.substr(11));
+      sargs.sessions = bench::unsigned_arg(a);
     } else if (a.rfind("--workers=", 0) == 0) {
-      sargs.workers = std::stoul(a.substr(10));
+      sargs.workers = bench::unsigned_arg(a);
     } else if (a == "--fleet") {
       sargs.fleet = true;
     } else if (a.rfind("--fleet=", 0) == 0) {
       sargs.fleet = true;
-      sargs.fleet_workers = std::stoul(a.substr(8));
+      sargs.fleet_workers = bench::unsigned_arg(a);
     } else {
       passthrough.push_back(argv[i]);
     }

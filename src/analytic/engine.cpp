@@ -142,8 +142,7 @@ std::vector<std::pair<double, double>> TunedPeriodAnalysis::yield_curve(
   return curve;
 }
 
-TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
-                                         const AnalysisOptions& options) {
+TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem) {
   const timing::CircuitModel& model = problem.model();
   const std::size_t np = model.num_pairs();
   if (np == 0) {
@@ -151,9 +150,9 @@ TunedPeriodAnalysis analyze_tuned_period(const core::Problem& problem,
   }
   const std::size_t nb = problem.num_buffers();
   const std::size_t n = nb + 1;  // node 0 = all unbuffered registers (x = 0)
-  const int max_k = options.max_cycle_edges > 0
-                        ? options.max_cycle_edges
-                        : static_cast<int>(n);
+  // Up to n delay edges per cycle covers every simple cycle of the
+  // contracted graph, hence exact at Clark accuracy.
+  const int max_k = static_cast<int>(n);
 
   // Buffer ranges per node (node 0 is pinned at zero).
   std::vector<double> lo(n, 0.0), up(n, 0.0);

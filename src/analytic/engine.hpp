@@ -68,12 +68,6 @@ struct CandidateConstraint {
   double criticality = 0.0;
 };
 
-struct AnalysisOptions {
-  /// Maximum delay edges per cycle; 0 = num_buffers + 1 (covers every
-  /// simple cycle of the contracted graph, hence exact at Clark accuracy).
-  int max_cycle_edges = 0;
-};
-
 /// Result of the analytic post-tuning analysis.
 struct TunedPeriodAnalysis {
   /// Untuned required period (monitored + promoted static pairs) — the
@@ -105,7 +99,7 @@ struct TunedPeriodAnalysis {
 /// sampling; cost is O((nb+1)^4) canonical operations — independent of the
 /// chip count that makes the Monte-Carlo flow expensive.
 [[nodiscard]] TunedPeriodAnalysis analyze_tuned_period(
-    const core::Problem& problem, const AnalysisOptions& options = {});
+    const core::Problem& problem);
 
 struct McTunedOptions {
   std::size_t chips = 1000;

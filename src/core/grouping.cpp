@@ -131,7 +131,7 @@ SelectionResult select_paths(const linalg::Matrix& cov,
         linalg::eigen_symmetric(std::move(block));
     group.num_components =
         options.use_kaiser
-            ? pca.components_above_mean(options.kaiser_scale)
+            ? pca.components_above_mean(1.0)
             : pca.components_for_coverage(options.pca_coverage);
     const std::vector<std::size_t> local =
         select_representatives(pca, group.num_components);

@@ -11,33 +11,21 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "io/fields.hpp"
 #include "obs/log.hpp"
 
 namespace effitest::fleet {
 
 std::optional<WorkerEndpoint> parse_serving_banner(const std::string& line) {
-  constexpr const char* kPrefix = "serving on ";
-  constexpr std::size_t kPrefixLen = 11;
+  constexpr std::string_view kPrefix = "serving on ";
   if (line.rfind(kPrefix, 0) != 0) return std::nullopt;
-  const std::string target = line.substr(kPrefixLen);
-  const std::size_t colon = target.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == target.size()) {
-    return std::nullopt;
-  }
-  const std::string port_text = target.substr(colon + 1);
-  std::uint32_t port = 0;
-  for (const char c : port_text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    port = port * 10 + static_cast<std::uint32_t>(c - '0');
-    if (port > 65535) return std::nullopt;
-  }
-  if (port == 0) return std::nullopt;
-  WorkerEndpoint endpoint;
-  endpoint.host = target.substr(0, colon);
-  endpoint.port = static_cast<std::uint16_t>(port);
-  return endpoint;
+  const std::optional<io::HostPort> target =
+      io::parse_host_port(std::string_view(line).substr(kPrefix.size()));
+  if (!target || target->port == 0) return std::nullopt;
+  return WorkerEndpoint{target->host, target->port};
 }
 
 ProcessSupervisor::ProcessSupervisor(SupervisorOptions options,
@@ -252,10 +240,12 @@ void ProcessSupervisor::monitor_loop() {
           if (options_.restart_on_crash) {
             // Exponential backoff per consecutive crash; a scraped banner
             // resets the exponent.
+            constexpr double kBackoffBaseSeconds = 0.25;
+            constexpr double kBackoffMaxSeconds = 5.0;
             const double delay = std::min(
-                options_.backoff_base_seconds *
+                kBackoffBaseSeconds *
                     std::exp2(static_cast<double>(child.restarts)),
-                options_.backoff_max_seconds);
+                kBackoffMaxSeconds);
             child.restart_pending = true;
             child.restart_at =
                 now + std::chrono::duration_cast<

@@ -10,7 +10,7 @@
 //   spawn -> (banner scraped from the pipe) -> endpoint callback fires
 //         -> running -> exit observed by waitpid(WNOHANG)
 //         -> if draining or restart disabled: stays down
-//         -> else: restart scheduled at now + min(base * 2^n, max),
+//         -> else: restart scheduled at now + min(0.25 s * 2^n, 5 s),
 //            respawned by the monitor when the deadline passes, banner
 //            scraped again, endpoint callback fires with the NEW port.
 //
@@ -64,9 +64,9 @@ struct SupervisorOptions {
   /// `effitest_cli serve --port=0` does.
   std::vector<std::string> argv;
   std::size_t children = 2;
+  /// Restart a crashed child after min(0.25 s * 2^n, 5 s), n counting its
+  /// consecutive crashes.
   bool restart_on_crash = true;
-  double backoff_base_seconds = 0.25;
-  double backoff_max_seconds = 5.0;
   /// start() fails if any child's banner has not appeared within this.
   double startup_timeout_seconds = 60.0;
   obs::StructuredLog* log = nullptr;

@@ -35,6 +35,75 @@ void Parser::fail_at(std::size_t line, const std::string& what) const {
 
 void Parser::fail(const std::string& what) const { fail_at(line_, what); }
 
+void SchemaReader::fail(const Value& at, const std::string& what) const {
+  parser_.fail_at(at.line, what);
+}
+
+const Value& SchemaReader::require(const Value& obj, const std::string& key,
+                                   Value::Kind kind) const {
+  const Value* v = optional(obj, key, kind);
+  if (v == nullptr) fail(obj, "missing required key \"" + key + "\"");
+  return *v;
+}
+
+const Value* SchemaReader::optional(const Value& obj, const std::string& key,
+                                    Value::Kind kind) const {
+  const Value* v = obj.find(key);
+  if (v != nullptr && v->kind != kind) {
+    fail(*v, "\"" + key + "\" must be a " + kind_name(kind) + ", got " +
+                 kind_name(v->kind));
+  }
+  return v;
+}
+
+void SchemaReader::reject_unknown_keys(const Value& obj,
+                                       std::initializer_list<const char*> known,
+                                       const std::string& where) const {
+  for (const auto& [key, value] : obj.object) {
+    bool ok = false;
+    for (const char* k : known) ok = ok || key == k;
+    if (ok) continue;
+    std::string valid;
+    for (const char* k : known) valid += std::string(" ") + k;
+    fail(value, "unknown key \"" + key + "\" in " + where + " (valid:" +
+                    valid + ")");
+  }
+}
+
+std::uint64_t SchemaReader::integer(const Value& v,
+                                    const std::string& key) const {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  if (!(v.number >= 0.0) || v.number >= kMaxExact ||
+      v.number != std::floor(v.number)) {
+    fail(v, "\"" + key + "\" must be a non-negative integer below 2^53");
+  }
+  return static_cast<std::uint64_t>(v.number);
+}
+
+std::uint64_t SchemaReader::require_integer(const Value& obj,
+                                            const std::string& key) const {
+  return integer(require(obj, key, Value::Kind::kNumber), key);
+}
+
+std::optional<std::uint64_t> SchemaReader::optional_integer(
+    const Value& obj, const std::string& key) const {
+  const Value* v = optional(obj, key, Value::Kind::kNumber);
+  if (v == nullptr) return std::nullopt;
+  return integer(*v, key);
+}
+
+double SchemaReader::number(const Value& obj, const std::string& key,
+                            double fallback) const {
+  const Value* v = optional(obj, key, Value::Kind::kNumber);
+  return v == nullptr ? fallback : v->number;
+}
+
+bool SchemaReader::boolean(const Value& obj, const std::string& key,
+                           bool fallback) const {
+  const Value* v = optional(obj, key, Value::Kind::kBool);
+  return v == nullptr ? fallback : v->boolean;
+}
+
 void Parser::skip_ws() {
   while (pos_ < text_.size()) {
     const char c = text_[pos_];

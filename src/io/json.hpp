@@ -6,9 +6,10 @@
 // checkpoints, bench reports) need only objects/arrays/strings/numbers/
 // bools. Extensions over strict JSON: `//` line comments, so shipped
 // files can be annotated. Every parse error carries the 1-based line of
-// the offending token; callers (scenario_json, checkpoint_json) translate
-// ParseError into their own schema-level exception type so the CLI's
-// exit-code mapping stays per-surface.
+// the offending token. The schema readers (scenario_json,
+// checkpoint_json) share one SchemaReader and translate ParseError into
+// their own exception type so the CLI's exit-code mapping stays
+// per-surface.
 //
 // Hardening contract (policed by tests/fuzz/fuzz_scenario_json and the
 // corpus-replay `fuzz` ctest suite): arbitrary input must either parse or
@@ -17,6 +18,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -82,6 +85,45 @@ class Parser {
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
   std::size_t depth_ = 0;
+};
+
+/// Strict reader of one JSON schema object tree (scenario specs, campaign
+/// checkpoints): typed key lookup, unknown-key rejection and checked
+/// integers. Every failure is a ParseError with the parser's
+/// "<source> line <n>: " prefix, so schema and syntax errors read alike.
+class SchemaReader {
+ public:
+  explicit SchemaReader(const Parser& parser) : parser_(parser) {}
+
+  [[noreturn]] void fail(const Value& at, const std::string& what) const;
+
+  /// `obj[key]`, which must exist and be of `kind`.
+  const Value& require(const Value& obj, const std::string& key,
+                       Value::Kind kind) const;
+  /// `obj[key]` if present (then it must be of `kind`), else nullptr.
+  const Value* optional(const Value& obj, const std::string& key,
+                        Value::Kind kind) const;
+  /// Fail on the first key of `obj` not in `known`; `where` names `obj`.
+  void reject_unknown_keys(const Value& obj,
+                           std::initializer_list<const char*> known,
+                           const std::string& where) const;
+
+  /// `obj[key]`, which must exist and be an integer (see integer()).
+  std::uint64_t require_integer(const Value& obj,
+                                const std::string& key) const;
+  /// `obj[key]` as an integer if present — distinguishes "absent" from 0.
+  std::optional<std::uint64_t> optional_integer(const Value& obj,
+                                                const std::string& key) const;
+  double number(const Value& obj, const std::string& key,
+                double fallback) const;
+  bool boolean(const Value& obj, const std::string& key, bool fallback) const;
+
+ private:
+  /// A number that is a non-negative integer below 2^53 (exactly
+  /// representable in a double, so it also fits size_t and uint64_t).
+  std::uint64_t integer(const Value& v, const std::string& key) const;
+
+  const Parser& parser_;
 };
 
 /// Round-trip formatting for doubles (max_digits10): the deterministic

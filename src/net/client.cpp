@@ -1,12 +1,13 @@
 #include "net/client.hpp"
 
-#include <charconv>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "io/fields.hpp"
 #include "io/tune_protocol.hpp"
 #include "net/socket.hpp"
 
@@ -14,17 +15,24 @@ namespace effitest::net {
 
 namespace {
 
-/// The digits after `key` in `token`; nullopt unless every byte after the
-/// key is a decimal digit and the value fits in 64 bits.
-std::optional<std::uint64_t> parse_field(const std::string& token,
-                                         const std::string& key) {
-  if (token.rfind(key, 0) != 0) return std::nullopt;
-  const char* first = token.data() + key.size();
-  const char* last = token.data() + token.size();
-  std::uint64_t value = 0;
-  const auto [end, ec] = std::from_chars(first, last, value);
-  if (ec != std::errc{} || end != last) return std::nullopt;
-  return value;
+/// `line` split on whitespace; runs of separators count once.
+std::vector<std::string_view> split_words(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  std::vector<std::string_view> words;
+  std::size_t pos = line.find_first_not_of(kSpace);
+  while (pos != std::string_view::npos) {
+    const std::size_t end = line.find_first_of(kSpace, pos);
+    words.push_back(line.substr(pos, end - pos));
+    pos = line.find_first_not_of(kSpace, end);
+  }
+  return words;
+}
+
+/// The unsigned field after `key` in `token`; malformed unless `token`
+/// starts with `key`.
+io::UnsignedField keyed_field(std::string_view token, std::string_view key) {
+  if (token.substr(0, key.size()) != key) return {};
+  return io::parse_unsigned(token.substr(key.size()));
 }
 
 [[noreturn]] void protocol_error(const std::string& line,
@@ -34,25 +42,62 @@ std::optional<std::uint64_t> parse_field(const std::string& token,
 
 }  // namespace
 
+Hello parse_hello(const std::string& line) {
+  Hello h;
+  const std::vector<std::string_view> words = split_words(line);
+  if (words.size() < 2 || words[0] != "hello" ||
+      words[1] != "effitest-tune-v1") {
+    h.error = "expected \"hello effitest-tune-v1 chips=<n>\"";
+    return h;
+  }
+  bool saw_chips = false;
+  for (std::size_t i = 2; i < words.size(); ++i) {
+    const std::string_view token = words[i];
+    if (token == "lenient") {
+      h.lenient = true;
+      continue;
+    }
+    const std::size_t eq = token.find('=');
+    const std::string_view key = token.substr(0, eq);
+    if (eq == std::string_view::npos || (key != "chips" && key != "window")) {
+      h.error = "unknown hello option \"" + std::string(token) + "\"";
+      return h;
+    }
+    const io::UnsignedField value = io::parse_unsigned(token.substr(eq + 1));
+    if (!value) {
+      h.error = "malformed hello option \"" + std::string(token) + "\"";
+      return h;
+    }
+    if (key == "chips") {
+      h.chips = value.value;
+      saw_chips = true;
+    } else {
+      h.window = value.value;
+    }
+  }
+  if (!saw_chips || h.chips == 0) {
+    h.error = "hello must carry chips=<n> with n >= 1";
+  }
+  return h;
+}
+
 std::optional<Greeting> parse_greeting(const std::string& line) {
-  std::istringstream is(line);
-  std::string tag, version, session_kv, seed_kv, extra;
-  if (!(is >> tag >> version >> session_kv >> seed_kv) || (is >> extra) ||
-      tag != "serve" || version != "effitest-tune-v1") {
+  const std::vector<std::string_view> words = split_words(line);
+  if (words.size() != 4 || words[0] != "serve" ||
+      words[1] != "effitest-tune-v1") {
     return std::nullopt;
   }
-  const auto session = parse_field(session_kv, "session=");
-  const auto seed = parse_field(seed_kv, "seed=");
+  const io::UnsignedField session = keyed_field(words[2], "session=");
+  const io::UnsignedField seed = keyed_field(words[3], "seed=");
   if (!session || !seed) return std::nullopt;
-  return Greeting{*session, *seed};
+  return Greeting{session.value, seed.value};
 }
 
 ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
                                  const core::Problem& problem,
                                  const ClientOptions& options) {
-  ConnectBackoff backoff;
-  backoff.retries = options.connect_retries;
-  SocketStream stream(connect_with_backoff(host, port, backoff));
+  SocketStream stream(
+      connect_with_backoff(host, port, options.connect_retries));
   stream << "hello effitest-tune-v1 chips=" << options.chips;
   if (options.window != 0) stream << " window=" << options.window;
   if (options.lenient) stream << " lenient";
@@ -86,7 +131,20 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
 
   // The standard exchange: answer stimulus/final lines until bye. The
   // response is written with plain '\n'; SocketStream flushes pending
-  // output before the next blocking read.
+  // output before the next blocking read. A `report <chip>` or `error
+  // <chip>` line finishes its chip; a bye before every chip is finished is
+  // a truncated session, not a result.
+  std::vector<bool> finished(options.chips, false);
+  std::size_t unfinished = options.chips;
+  const auto finish = [&] {
+    const std::vector<std::string_view> words = split_words(line);
+    const io::UnsignedField chip =
+        io::parse_unsigned(words.size() > 1 ? words[1] : std::string_view());
+    if (chip && chip.value < options.chips && !finished[chip.value]) {
+      finished[chip.value] = true;
+      --unfinished;
+    }
+  };
   bool saw_header = false;
   while (read_line()) {
     if (line.empty() || line[0] == '#') continue;
@@ -94,6 +152,11 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
     std::string tag;
     is >> tag;
     if (tag == "bye") {
+      if (unfinished > 0) {
+        protocol_error(line, "bye with " + std::to_string(unfinished) +
+                                 " of " + std::to_string(options.chips) +
+                                 " chip(s) neither reported nor abandoned");
+      }
       return result;
     }
     if (tag == "effitest-tune-v1") {
@@ -102,10 +165,12 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
     }
     if (tag == "report") {
       result.report_lines.push_back(line);
+      finish();
       continue;
     }
     if (tag == "error") {
       result.error_lines.push_back(line);
+      finish();
       continue;
     }
     if (tag != "stimulus" && tag != "final") {

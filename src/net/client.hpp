@@ -1,5 +1,7 @@
 #pragma once
-// Loopback tuning client: connects to a net::TuneServeLoop (or any
+// Loopback tuning client, and the parsers of both handshake lines.
+//
+// The client connects to a net::TuneServeLoop (or any
 // effitest-tune-v1 server), simulates its dies locally with the seed base
 // from the serve greeting, and answers every stimulus — the tester half of
 // `effitest_cli tune --connect=host:port`, tests/net and bench_serve.
@@ -29,7 +31,7 @@ struct ClientOptions {
   /// none. The server may cap it — the cap never changes the reports.
   std::size_t window = 0;
   /// Extra connect attempts (exponential backoff + jitter, see
-  /// net::ConnectBackoff) before giving up, so testers ride out balancer
+  /// net::connect_with_backoff) before giving up, so testers ride out balancer
   /// and worker restarts instead of dying on ECONNREFUSED. 0 = one
   /// attempt, fail fast.
   std::size_t connect_retries = 3;
@@ -46,16 +48,33 @@ struct ClientResult {
   std::uint64_t seed_base = 0;  ///< from the serve greeting
 };
 
+// The two handshake lines (DESIGN.md §13). Both parsers split on
+// whitespace and read every number through io::parse_unsigned: plain
+// decimal digits that fit in 64 bits, no sign, no trailing bytes.
+
+/// The client hello `hello effitest-tune-v1 chips=<n> [lenient]
+/// [window=<w>]`, options in any order.
+struct Hello {
+  std::size_t chips = 0;
+  std::size_t window = 0;  ///< 0: no window requested
+  bool lenient = false;
+  std::string error;  ///< non-empty: the hello is malformed, and why
+};
+
+/// Parse a hello strictly: the tag and version, then only the options
+/// above, with chips=<n> present and n >= 1. Limits on n and the window
+/// are the server's policy, not grammar (net::TuneServeLoop).
+[[nodiscard]] Hello parse_hello(const std::string& line);
+
 /// The serve greeting `serve effitest-tune-v1 session=<id> seed=<base>`.
 struct Greeting {
   std::uint64_t session_id = 0;
   std::uint64_t seed_base = 0;
 };
 
-/// Parse a serve greeting strictly: exactly the four fields above, each
-/// number plain decimal digits that fit in 64 bits (no sign, no trailing
-/// bytes). nullopt for anything else — the seed base is what keeps a
-/// session's dies, and a fleet migration's replay, deterministic.
+/// Parse a serve greeting strictly: exactly the four fields above. nullopt
+/// for anything else — the seed base is what keeps a session's dies, and
+/// a fleet migration's replay, deterministic.
 [[nodiscard]] std::optional<Greeting> parse_greeting(const std::string& line);
 
 /// Run one whole tuning session against a live server. Throws

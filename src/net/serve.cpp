@@ -2,73 +2,29 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <string>
 #include <utility>
 
 #include "io/tune_protocol.hpp"
+#include "net/client.hpp"
 #include "obs/log.hpp"
 
 namespace effitest::net {
 
 namespace {
 
-/// Parsed `hello effitest-tune-v1 chips=<n> [lenient] [window=<w>]`.
-/// `error` non-empty on a malformed or out-of-policy hello.
-struct Hello {
-  std::size_t chips = 0;
-  std::size_t window = 0;
-  bool lenient = false;
-  std::string error;
-};
-
-Hello parse_hello(const std::string& line, const ServeOptions& options) {
-  Hello h;
-  std::istringstream is(line);
-  std::string tag, version, token;
-  if (!(is >> tag >> version) || tag != "hello" ||
-      version != "effitest-tune-v1") {
-    h.error = "expected \"hello effitest-tune-v1 chips=<n>\"";
-    return h;
-  }
-  bool saw_chips = false;
-  while (is >> token) {
-    if (token == "lenient") {
-      h.lenient = true;
-      continue;
-    }
-    const auto eq = token.find('=');
-    const std::string key = token.substr(0, eq);
-    std::size_t value = 0;
-    if (eq != std::string::npos) {
-      std::istringstream vs(token.substr(eq + 1));
-      if (!(vs >> value) || !vs.eof()) {
-        h.error = "malformed hello option \"" + token + "\"";
-        return h;
-      }
-    }
-    if (key == "chips" && eq != std::string::npos) {
-      h.chips = value;
-      saw_chips = true;
-    } else if (key == "window" && eq != std::string::npos) {
-      h.window = value;
-    } else {
-      h.error = "unknown hello option \"" + token + "\"";
-      return h;
-    }
-  }
-  if (!saw_chips || h.chips == 0) {
-    h.error = "hello must carry chips=<n> with n >= 1";
-    return h;
-  }
+/// The hello grammar is net::parse_hello's; this adds the server's policy:
+/// the per-session chip limit, and the server-side window capping the
+/// client's request (a client that asked for none gets the server's).
+Hello admit_hello(const std::string& line, const ServeOptions& options) {
+  Hello h = parse_hello(line);
+  if (!h.error.empty()) return h;
   if (h.chips > options.max_chips_per_session) {
     h.error = "chips=" + std::to_string(h.chips) +
               " exceeds this server's per-session limit of " +
               std::to_string(options.max_chips_per_session);
     return h;
   }
-  // The server-side window caps the client's request; a client that asked
-  // for none gets the server's default.
   if (options.chip_window != 0) {
     h.window = h.window == 0 ? options.chip_window
                              : std::min(h.window, options.chip_window);
@@ -125,7 +81,7 @@ void TuneServeLoop::handle_connection(Socket socket) {
   if (!got_line) {
     hello.error = "connection closed before hello";
   } else {
-    hello = parse_hello(line, options_);
+    hello = admit_hello(line, options_);
   }
   bool completed = false;
   std::uint64_t id = 0;

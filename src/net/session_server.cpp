@@ -44,13 +44,14 @@ void SessionServer::start() {
   }
   drain_pipe_r_ = Socket(pipe_fds[0]);
   drain_pipe_w_ = Socket(pipe_fds[1]);
+  constexpr int kListenBacklog = 512;
   listener_ = std::make_unique<Listener>(options_.host, options_.port,
-                                         options_.listen_backlog);
+                                         kListenBacklog);
   port_ = listener_->port();
   if (options_.status_port >= 0) {
     status_listener_ = std::make_unique<Listener>(
         options_.host, static_cast<std::uint16_t>(options_.status_port),
-        options_.listen_backlog);
+        kListenBacklog);
     status_port_ = status_listener_->port();
   }
   {

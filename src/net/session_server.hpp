@@ -63,7 +63,6 @@ struct ServerOptions {
   /// Socket send/receive timeout per connection; 0 = block forever. A
   /// recv timeout looks like a disconnected peer (stream EOF).
   double io_timeout_seconds = 0.0;
-  int listen_backlog = 512;
   /// Plaintext status endpoint: every connection to this port immediately
   /// receives one `effitest-status-v1` JSON line and is closed — pollable
   /// with netcat/curl, independent of the session listener's backpressure

@@ -153,18 +153,17 @@ Socket Listener::accept() {
 }
 
 Socket connect_with_backoff(const std::string& host, std::uint16_t port,
-                            const ConnectBackoff& backoff) {
+                            std::size_t retries) {
   std::mt19937 jitter_rng{std::random_device{}()};
   std::uniform_real_distribution<double> jitter(0.5, 1.0);
   for (std::size_t attempt = 0;; ++attempt) {
     try {
       return connect_to(host, port);
     } catch (const std::exception&) {
-      if (attempt >= backoff.retries) throw;
+      if (attempt >= retries) throw;
     }
     const double delay =
-        std::min(backoff.base_seconds * std::exp2(static_cast<double>(attempt)),
-                 backoff.max_seconds) *
+        std::min(0.1 * std::exp2(static_cast<double>(attempt)), 2.0) *
         jitter(jitter_rng);
     std::this_thread::sleep_for(std::chrono::duration<double>(delay));
   }

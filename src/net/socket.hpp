@@ -119,23 +119,14 @@ class Listener {
 /// Blocking IPv4 connect. Throws std::runtime_error on failure.
 [[nodiscard]] Socket connect_to(const std::string& host, std::uint16_t port);
 
-/// Retry policy for connect_with_backoff: `retries` extra attempts after
-/// the first, sleeping base * 2^attempt (capped at max) scaled by a
-/// uniform jitter factor in [0.5, 1.0] between attempts. The jitter keeps
-/// a fleet of testers restarted together from reconnecting in lockstep.
-struct ConnectBackoff {
-  std::size_t retries = 3;
-  double base_seconds = 0.1;
-  double max_seconds = 2.0;
-};
-
 /// connect_to, but riding out ECONNREFUSED during balancer/worker
-/// restarts: on failure sleep per the backoff policy and try again, up to
-/// `retries` extra attempts. Throws the last failure when all attempts are
-/// spent.
+/// restarts: up to `retries` extra attempts, sleeping min(0.1 s * 2^n, 2 s)
+/// before attempt n+1, scaled by a uniform jitter factor in [0.5, 1.0]
+/// that keeps a fleet of testers restarted together from reconnecting in
+/// lockstep. Throws the last failure when all attempts are spent.
 [[nodiscard]] Socket connect_with_backoff(const std::string& host,
                                           std::uint16_t port,
-                                          const ConnectBackoff& backoff = {});
+                                          std::size_t retries);
 
 /// Read-side half-close (a shutdown(2) wrapper; no-op on an invalid
 /// socket). The fleet balancer uses it to pop its uplink relay thread out

@@ -9,6 +9,15 @@
 
 namespace effitest::timing {
 
+namespace {
+
+/// Near-critical path enumeration window and the per-pair cap on the
+/// alternative paths each monitored pair's max form is built from.
+constexpr double kSlackWindowPs = 15.0;
+constexpr std::size_t kMaxPathsPerPair = 4;
+
+}  // namespace
+
 double DelayForm::sigma() const { return std::sqrt(variance()); }
 
 CircuitModel::CircuitModel(const netlist::Netlist& netlist,
@@ -65,7 +74,7 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
       p.src_buffered = src_buf;
       p.dst_buffered = dst_buf;
       const auto alts = graph.near_critical_paths(
-          cone, t, options_.slack_window_ps, options_.max_paths_per_pair);
+          cone, t, kSlackWindowPs, kMaxPathsPerPair);
       if (alts.empty()) continue;
       for (const StructuralPath& sp : alts) {
         p.max_alts.push_back(build_form(sp, setup_time_));
@@ -90,7 +99,7 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
     }
     if (cone.src_ff != c.src) graph.sweep(c.src, cone);
     const auto paths =
-        graph.near_critical_paths(cone, c.dst, options_.slack_window_ps, 1);
+        graph.near_critical_paths(cone, c.dst, kSlackWindowPs, 1);
     if (!paths.empty()) {
       static_forms_.push_back(build_form(paths.front(), setup_time_));
     }

@@ -78,8 +78,6 @@ struct SampleWorkspace {
 
 struct ModelOptions {
   VariationParams variation{};
-  double slack_window_ps = 15.0;       ///< near-critical enumeration window
-  std::size_t max_paths_per_pair = 4;  ///< truth evaluation path cap
   /// Fig-7 knob: scale every path sigma by this factor by *adding
   /// independent variance*, leaving cross covariances untouched.
   double random_inflation = 1.0;

@@ -8,7 +8,10 @@ runtime's terminate handler) instead of the documented usage exit 2.
 Every numeric option must now reject malformed and out-of-range values
 with exit 2 and an error message naming the offending option and value.
 
-Usage: numeric_options_test.py <effitest_cli> <s27.bench>
+Usage: numeric_options_test.py <effitest_cli> <s27.bench> [bench binary...]
+
+Each optional bench binary must reject malformed unsigned arguments the
+same way: exit 2, naming the argument.
 """
 
 import subprocess
@@ -16,6 +19,7 @@ import sys
 
 CLI = sys.argv[1]
 BENCH = sys.argv[2]
+BENCH_BINARIES = sys.argv[3:]
 
 # Values no unsigned-integer option may accept.
 BAD_U64 = ["abc", "12x", "-3", "", "0x10", "99999999999999999999999999"]
@@ -69,9 +73,9 @@ CASES = [
 failures = []
 
 
-def check(argv, expect_rc, expect_stderr=None):
+def check(argv, expect_rc, expect_stderr=None, binary=CLI):
     proc = subprocess.run(
-        [CLI] + argv, capture_output=True, text=True, timeout=120
+        [binary] + argv, capture_output=True, text=True, timeout=120
     )
     problems = []
     if proc.returncode != expect_rc:
@@ -156,6 +160,18 @@ with tempfile.NamedTemporaryFile(suffix=".log", mode="r") as log_file:
 # matrix above is rejecting values rather than whole commands.
 check(["generate", "--circuit=s9234", "--seed=5"], 0)
 check(["ssta"] + S27 + ["--chips=50"], 0)
+
+# The bench binaries' shared --chips/--seed/--threads (and bench_serve's
+# own --clients/--sessions/--workers/--fleet=) are unsigned too. Only bad
+# values are tried: a good one would run the whole bench.
+for binary in BENCH_BINARIES:
+    options = ["chips", "seed", "threads"]
+    if binary.endswith("bench_serve"):
+        options += ["clients", "sessions", "workers", "fleet"]
+    for option in options:
+        for value in BAD_U64:
+            arg = "--%s=%s" % (option, value)
+            check([arg], 2, arg, binary=binary)
 
 if failures:
     print("\n%d FAILED:" % len(failures))

@@ -1,28 +1,46 @@
-// Fuzz target: the fleet's two worker-facing wire parsers. Both consume
-// attacker-adjacent bytes — parse_worker_status eats whatever a (possibly
-// hostile or corrupted) worker answers to a health probe, and
-// parse_serving_banner eats a spawned child's stdout — and both promise to
-// reject malformed input by returning ok=false / nullopt, never by
-// throwing or crashing. The input is split on the first newline so one
-// corpus file exercises both parsers.
+// Fuzz target: the line parsers of the tuning wire. All of them consume
+// peer bytes — parse_worker_status eats whatever a (possibly hostile or
+// corrupted) worker answers to a health probe, parse_serving_banner eats a
+// spawned child's stdout, parse_hello a tester's first line,
+// parse_greeting a server's first reply, and parse_host_port every
+// host:port target — and all promise to reject malformed input by
+// returning ok=false / an error / nullopt, never by throwing or crashing.
+// The whole input, then each of its lines, goes through every parser, so
+// one corpus file exercises all of them.
 
 #include <string>
 
 #include "fleet/registry.hpp"
 #include "fleet/supervisor.hpp"
 #include "fuzz_driver.hpp"
+#include "io/fields.hpp"
+#include "net/client.hpp"
+
+namespace {
+
+void parse_line(const std::string& line) {
+  (void)effitest::fleet::parse_worker_status(line);
+  (void)effitest::fleet::parse_serving_banner(line);
+  (void)effitest::net::parse_hello(line);
+  (void)effitest::net::parse_greeting(line);
+  (void)effitest::io::parse_host_port(line);
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size > (1u << 20)) return 0;
   const std::string text(reinterpret_cast<const char*>(data), size);
-  const size_t split = text.find('\n');
-  const std::string first =
-      split == std::string::npos ? text : text.substr(0, split);
-  const std::string rest =
-      split == std::string::npos ? text : text.substr(split + 1);
-  (void)effitest::fleet::parse_worker_status(first);
-  (void)effitest::fleet::parse_worker_status(rest);
-  (void)effitest::fleet::parse_serving_banner(first);
-  (void)effitest::fleet::parse_serving_banner(rest);
+  parse_line(text);
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    const std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) {
+      parse_line(text.substr(start));
+      break;
+    }
+    parse_line(text.substr(start, end - start));
+    start = end + 1;
+  }
   return 0;
 }

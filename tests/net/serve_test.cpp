@@ -411,13 +411,21 @@ TEST(ServeLoop, MalformedAndOversizedHellosAreRejected) {
   EXPECT_EQ(first_line_for("hello effitest-tune-v1 chips=4")
                 .rfind("serve effitest-tune-v1 ", 0),
             0u);
+  // Signed and overflowing fields are malformed, not wrapped to 2^64-1.
+  for (const char* hello : {"hello effitest-tune-v1 chips=+1",
+                            "hello effitest-tune-v1 chips=1 window=-1",
+                            "hello effitest-tune-v1 chips=1 "
+                            "window=18446744073709551616"}) {
+    const std::string reply = first_line_for(hello);
+    EXPECT_EQ(reply.rfind("error - malformed hello option", 0), 0u) << reply;
+  }
 
   loop.request_drain();
   loop.wait();
   const obs::RegistrySnapshot m = loop.metrics();
-  // Four rejected hellos, plus the chips=4 session whose client deserted
+  // Seven rejected hellos, plus the chips=4 session whose client deserted
   // right after the greeting.
-  EXPECT_EQ(m.counter(net::kMetricSessionsFailed), 5u);
+  EXPECT_EQ(m.counter(net::kMetricSessionsFailed), 8u);
   EXPECT_EQ(m.counter(net::kMetricSessionsCompleted), 0u);
 }
 
@@ -581,6 +589,89 @@ TEST(Greeting, RejectsSignsTrailingBytesOverflowAndMissingFields) {
            "",
        }) {
     EXPECT_FALSE(net::parse_greeting(bad)) << bad;
+  }
+}
+
+TEST(Hello, ParsesOptionsInAnyOrder) {
+  const net::Hello h =
+      net::parse_hello("hello effitest-tune-v1 window=3 lenient  chips=7");
+  EXPECT_EQ(h.error, "");
+  EXPECT_EQ(h.chips, 7u);
+  EXPECT_EQ(h.window, 3u);
+  EXPECT_TRUE(h.lenient);
+}
+
+TEST(Hello, RejectsSignsTrailingBytesOverflowAndUnknownOptions) {
+  for (const char* bad : {
+           "hello effitest-tune-v1 chips=+1",
+           "hello effitest-tune-v1 chips=-1",
+           "hello effitest-tune-v1 chips=1 window=-1",
+           "hello effitest-tune-v1 chips=1 window=18446744073709551616",
+           "hello effitest-tune-v1 chips=1x",
+           "hello effitest-tune-v1 chips=",
+           "hello effitest-tune-v1 chips=0",
+           "hello effitest-tune-v1 chips",
+           "hello effitest-tune-v1 chips=1 speed=2",
+           "hello effitest-tune-v1",
+           "hello effitest-tune-v2 chips=1",
+           "status",
+           "",
+       }) {
+    EXPECT_NE(net::parse_hello(bad).error, "") << bad;
+  }
+}
+
+/// A one-connection fake server on an ephemeral localhost port: reads the
+/// hello, answers `lines`, then closes.
+class FakeServer {
+ public:
+  explicit FakeServer(std::string lines)
+      : listener_("127.0.0.1", 0, 1),
+        thread_([this, lines = std::move(lines)] {
+          net::Socket conn = listener_.accept();
+          if (!conn.valid()) return;
+          net::SocketStream stream(std::move(conn));
+          std::string hello;
+          (void)std::getline(stream, hello);
+          stream << lines;
+          stream.flush();
+        }) {}
+  ~FakeServer() { thread_.join(); }
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+
+ private:
+  net::Listener listener_;
+  std::thread thread_;
+};
+
+TEST(LoopbackClient, ByeBeforeEveryChipIsReportedIsAnError) {
+  net::ClientOptions options;
+  options.chips = 2;
+  options.connect_retries = 0;
+  {
+    FakeServer server("serve effitest-tune-v1 session=0 seed=1\nbye\n");
+    EXPECT_THROW((void)net::run_loopback_client("127.0.0.1", server.port(),
+                                                holder().problem, options),
+                 std::runtime_error);
+  }
+  {
+    // One chip reported, one missing: still truncated.
+    FakeServer server(
+        "serve effitest-tune-v1 session=0 seed=1\n"
+        "report 1 iterations=0\nbye\n");
+    EXPECT_THROW((void)net::run_loopback_client("127.0.0.1", server.port(),
+                                                holder().problem, options),
+                 std::runtime_error);
+  }
+  {
+    // A report and an abandonment finish both chips.
+    FakeServer server(
+        "serve effitest-tune-v1 session=0 seed=1\n"
+        "report 1 iterations=0\nerror 0 gave up\nbye\n");
+    const net::ClientResult result = net::run_loopback_client(
+        "127.0.0.1", server.port(), holder().problem, options);
+    EXPECT_EQ(result.report_lines.size(), 1u);
+    EXPECT_EQ(result.error_lines.size(), 1u);
   }
 }
 

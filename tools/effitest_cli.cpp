@@ -1,120 +1,19 @@
 // effitest_cli — command-line front end for the EffiTest library.
 //
-// Subcommands:
-//   help      [command]
-//             Print usage (for one command or all of them).
-//   generate  --circuit=<paper name> [--out=file.bench] [--seed=S]
-//             Generate a clustered benchmark circuit (Table-1 statistics)
-//             and optionally export it as ISCAS89 .bench with placement.
-//   info      --bench=file.bench | --circuit=<name>
-//             Print structural and timing statistics.
-//   ssta      --bench=... | --circuit=... [--chips=N] [--threads=N]
-//             [--tuned] [--criticality] [--json=file]
-//             Analytic (Clark) vs Monte-Carlo untuned-period distribution.
-//             --tuned adds the post-tuning analysis (src/analytic/):
-//             analytic tuned-period mean/sigma/quantiles against the exact
-//             per-die Monte-Carlo reference, with wall-clock for both.
-//             --criticality (implies --tuned) also ranks register pairs by
-//             their probability of limiting the tuned period. --json writes
-//             the numbers as effitest-bench-v1 records.
-//   run       --bench=... [--buffers=N] [--policy=p] | --circuit=<name>
-//             [--chips=N] [--td=ps] [--quantile=q] [--no-prediction]
-//             [--no-alignment] [--seed=S] [--threads=N] [--json=file]
-//             Run the full EffiTest flow and print the metrics.
-//   campaign  --spec=file.json | [--circuits=a,b,...]
-//             [--quantiles=q1,q2,...] [--chips=N] [--seed=S] [--threads=N]
-//             [--inflation=k] [--json=file] [--checkpoint=file [--resume]]
-//             [--stop-after=K]
-//             Fan whole-circuit / T_d-sweep jobs out across all cores with
-//             FlowArtifacts reuse (Table 1/2-style multi-circuit runs from
-//             one invocation). With --spec, circuits/quantiles/periods and
-//             flow knobs come from a declarative scenario JSON
-//             (io/scenario_json.hpp) whose catalog can mix paper,
-//             .bench-imported, scaled and inline-generated circuits;
-//             explicit CLI options still override the spec's knobs.
-//             --checkpoint persists every finished job to an
-//             effitest-checkpoint-v1 file (atomically, after each job);
-//             --resume loads it back, skips the finished jobs, and — the
-//             whole campaign being deterministically seeded per job —
-//             produces results bit-identical to an uninterrupted run.
-//             --stop-after=K stops cleanly after K pending jobs (exit 3
-//             when jobs remain), which makes kill/resume testable at
-//             every job boundary.
-//   circuits  [--spec=file.json]
-//             List the circuit catalog (paper registry, or the spec's).
-//   tune      --bench=... [--buffers=N] | --circuit=<name>
-//             [--chips=N] [--seed=S] [--td=ps] [--quantile=q] [--threads=N]
-//             [--simulate] [--lenient] [--log=file] [--responses=file]
-//             Stream per-chip TuningSessions over the line-oriented
-//             stimulus/response protocol (src/io/tune_protocol.hpp):
-//             stimuli on stdout, responses from stdin — or from a replayed
-//             (possibly shuffled) --responses log, or self-answered with
-//             --simulate (writing the would-be tester responses to --log).
-//             --lenient survives malformed frames: a bad frame abandons
-//             only the chip it names (`error <chip> <reason>` on stdout);
-//             unattributable garbage is dropped and counted.
-//             With --connect=host:port the same command becomes the tester
-//             side of a networked session: it simulates its dies locally
-//             (seeded by the server's greeting) and answers the server's
-//             stimuli over TCP; the report lines are byte-identical to a
-//             local --simulate run. td/quantile/seed/threads are
-//             server-side decisions and are rejected in --connect mode.
-//   serve     --bench=... | --circuit=<name> [--td/--quantile/--seed/...]
-//             [--host=H] [--port=P] [--workers=N] [--max-pending=N]
-//             [--window=W] [--max-chips=N] [--max-sessions=N]
-//             [--io-timeout=S] [--status-port=P]
-//             TCP serve mode (src/net/serve.hpp): prepare the circuit
-//             once, then multiplex any number of concurrent chip-tuning
-//             sessions — each a `hello effitest-tune-v1 chips=<n>`
-//             connection speaking the tune protocol — across a bounded
-//             worker pool. Prints `serving on <host>:<port>` on stdout
-//             when ready; SIGTERM/SIGINT drain gracefully (stop accepting,
-//             finish every in-flight session) and print the session
-//             metrics (sessions/sec, latency p50/p90/p99) on stderr.
-//             --status-port binds an extra plaintext endpoint (0 =
-//             ephemeral, announced as `status on <host>:<port>`) where any
-//             connection receives the live effitest-status-v1 JSON line.
-//   balance   --workers=host:port,... and/or --spawn=N
-//             [--circuit/--bench/... forwarded to spawned workers]
-//             [--host=H] [--port=P] [--relay-workers=N] [--max-pending=N]
-//             [--max-sessions=N] [--retries=N] [--io-timeout=S]
-//             [--status-port=P] [--probe-interval=S]
-//             Front balancer for a multi-process tuning fleet
-//             (src/fleet/): accept tester connections on one port and
-//             route each session to the least-loaded live worker.
-//             --workers lists externally-managed serve processes;
-//             --spawn=N forks N `serve --port=0` children locally
-//             (restart-on-crash with backoff; circuit/flow options are
-//             forwarded to them). A worker registry polls every worker's
-//             status endpoint on --probe-interval and walks failures
-//             through live/degraded/dead; a session whose worker dies
-//             mid-run is transparently replayed on a survivor
-//             (byte-identical reports — the exchange is deterministic
-//             under the shared seed base), with --retries bounding the
-//             re-attach attempts. Prints `balancing on <host>:<port>`
-//             when ready; SIGTERM/SIGINT drain gracefully (finish every
-//             in-flight session, then SIGTERM the spawned workers).
-//   status    --connect=host:port [--format=json|prometheus]
-//             Poll a serve or balance fleet's live metrics: print the
-//             one-line effitest-status-v1 JSON (obs::MetricsRegistry
-//             snapshot) on stdout and a human summary (sessions
-//             done/active, sessions/sec, latency p50/p99) on stderr —
-//             or, with --format=prometheus, the text exposition format
-//             (the in-band `status prometheus` request). Works against
-//             the serve/balance port and against a --status-port
-//             endpoint — poll mid-run; nothing is perturbed.
+// Commands: help, generate, info, ssta, run, campaign, circuits, tune,
+// serve, balance, status. `effitest_cli help [command]` prints the usage
+// lines kept in command_specs() below; README.md ("Command-line usage")
+// describes every option, and DESIGN.md §10-§16 the library surfaces the
+// commands drive. run/campaign/tune/serve/balance/ssta also take
+// --log-format=text|json and --log-file=path: a structured event log
+// (obs::StructuredLog) that never changes a result.
 //
-// run/campaign/tune/serve also accept --log-format=text|json and
-// --log-file=path: a structured event log (obs::StructuredLog,
-// effitest-log-v1 JSON lines or the same data as text) of run/job/session/
-// chip transitions, written to the file or to stderr when no file is
-// given. Purely observational — results are bit-identical with logging on
-// or off, and the perf gates run with it off (one null-pointer test per
-// would-be event).
-//
-// Unknown options, unknown flags and stray positional arguments are
-// rejected with a clear error (exit code 2) — a typo like --chip=200 must
-// not silently run the defaults.
+// Options are whitelisted per command and every number is parsed
+// strictly, so a typo like --chip=200 or --chips=2x never silently runs
+// the defaults: unknown options, flags and stray arguments, malformed or
+// out-of-range numbers, and malformed scenario specs or checkpoints exit
+// 2 with a message naming the culprit. Runtime errors exit 1; a campaign
+// stopped by --stop-after with jobs left exits 3.
 //
 // Examples:
 //   effitest_cli generate --circuit=s9234 --out=/tmp/s9234_like.bench
@@ -124,7 +23,6 @@
 //   effitest_cli tune --circuit=s9234 --chips=3 --responses=resp.log
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -150,6 +48,7 @@
 #include "fleet/supervisor.hpp"
 #include "io/bench_json.hpp"
 #include "io/checkpoint_json.hpp"
+#include "io/fields.hpp"
 #include "io/json.hpp"
 #include "io/scenario_json.hpp"
 #include "io/tune_protocol.hpp"
@@ -190,47 +89,8 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Checked numeric option parsing. The raw std::stoul/std::stod calls these
-/// replace terminated the process with an uncaught std::invalid_argument on
-/// --chips=abc (and std::out_of_range on an oversized --seed) instead of
-/// the documented usage exit code 2. Every parse names the offending
-/// option and value and rejects trailing junk ("12x"), signs on unsigned
-/// options ("-3") and non-finite doubles ("nan").
-std::uint64_t parse_u64(const std::string& option, const std::string& value) {
-  std::uint64_t out = 0;
-  const char* first = value.data();
-  const char* last = first + value.size();
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  if (ec == std::errc::result_out_of_range) {
-    throw UsageError("--" + option + "=" + value +
-                     " is out of range (maximum " +
-                     std::to_string(std::numeric_limits<std::uint64_t>::max()) +
-                     ")");
-  }
-  if (ec != std::errc() || ptr != last || value.empty()) {
-    throw UsageError("--" + option + "=" + value +
-                     ": expected an unsigned integer");
-  }
-  return out;
-}
-
-std::size_t parse_size(const std::string& option, const std::string& value) {
-  const std::uint64_t out = parse_u64(option, value);
-  if (out > std::numeric_limits<std::size_t>::max()) {
-    throw UsageError("--" + option + "=" + value + " is out of range");
-  }
-  return static_cast<std::size_t>(out);
-}
-
-std::uint16_t parse_port(const std::string& option, const std::string& value) {
-  const std::uint64_t port = parse_u64(option, value);
-  if (port > 65535) {
-    throw UsageError("--" + option + "=" + value +
-                     " is not a TCP port (0-65535)");
-  }
-  return static_cast<std::uint16_t>(port);
-}
-
+/// Checked numeric option parsing: every parse names the offending option
+/// and value. Doubles reject trailing junk and non-finite values ("nan").
 double parse_double(const std::string& option, const std::string& value) {
   double out = 0.0;
   std::size_t consumed = 0;
@@ -252,6 +112,32 @@ double parse_double(const std::string& option, const std::string& value) {
                      ": expected a finite number");
   }
   return out;
+}
+
+/// Overwrite `field` with the value of --key when it is given, read by
+/// io::parse_unsigned (digits only: no sign, no trailing junk, nothing
+/// above `max`). Returns whether the option was given.
+template <class T>
+bool read_unsigned(const Cli& cli, const std::string& key, T& field,
+                   std::uint64_t max =
+                       std::numeric_limits<std::uint64_t>::max()) {
+  const auto value = cli.get(key);
+  if (!value) return false;
+  const io::UnsignedField parsed = io::parse_unsigned(*value, max);
+  if (parsed.status == io::UnsignedField::Status::kMalformed) {
+    throw UsageError("--" + key + "=" + *value +
+                     ": expected an unsigned integer");
+  }
+  if (parsed.status == io::UnsignedField::Status::kOutOfRange) {
+    throw UsageError("--" + key + "=" + *value + " is out of range (maximum " +
+                     std::to_string(max) + ")");
+  }
+  field = static_cast<T>(parsed.value);
+  return true;
+}
+
+void read_double(const Cli& cli, const std::string& key, double& field) {
+  if (const auto value = cli.get(key)) field = parse_double(key, *value);
 }
 
 Cli parse_cli(int argc, char** argv) {
@@ -475,17 +361,13 @@ std::shared_ptr<const scenario::PreparedCircuit> provision_circuit(
           "circuits carry their own buffer set");
     }
     scenario::PaperCircuit spec{*circuit, std::nullopt};
-    if (const auto seed = cli.get("seed")) {
-      spec.seed = parse_u64("seed", *seed);
-    }
+    read_unsigned(cli, "seed", spec.seed);
     name = *circuit;
     catalog.add(name, spec);
   } else if (const auto path = cli.get("bench")) {
     scenario::BenchCircuit spec;
     spec.path = *path;
-    if (const auto buffers = cli.get("buffers")) {
-      spec.num_buffers = parse_size("buffers", *buffers);
-    }
+    read_unsigned(cli, "buffers", spec.num_buffers);
     if (const auto policy = cli.get("policy")) {
       spec.policy = scenario::buffer_policy_from(*policy);
     }
@@ -529,23 +411,22 @@ LogSink make_structured_log(const Cli& cli) {
   return sink;
 }
 
-/// `host:port` → (host, port) with the usual usage-error reporting.
-std::pair<std::string, std::uint16_t> split_host_port(
-    const std::string& option, const std::string& target) {
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == target.size()) {
-    throw UsageError("--" + option + "=" + target + ": expected host:port");
+/// `host:port` → io::HostPort with the usual usage-error reporting.
+io::HostPort split_host_port(const std::string& option,
+                             const std::string& target) {
+  const std::optional<io::HostPort> parsed = io::parse_host_port(target);
+  if (!parsed) {
+    throw UsageError("--" + option + "=" + target +
+                     ": expected host:port with a port in 0-65535");
   }
-  return {target.substr(0, colon),
-          parse_port(option, target.substr(colon + 1))};
+  return *parsed;
 }
 
 int cmd_generate(const Cli& cli) {
   const auto name = cli.get("circuit");
   if (!name) throw std::runtime_error("generate needs --circuit=<name>");
   netlist::GeneratorSpec spec = netlist::paper_benchmark_spec(*name);
-  if (const auto seed = cli.get("seed")) spec.seed = parse_u64("seed", *seed);
+  read_unsigned(cli, "seed", spec.seed);
   const netlist::GeneratedCircuit gen = netlist::generate_circuit(spec);
   std::cout << "generated " << spec.name << ": "
             << gen.netlist.num_flip_flops() << " FFs, "
@@ -599,10 +480,10 @@ int cmd_ssta(const Cli& cli) {
       circuit->netlist, circuit->library, variation);
 
   const core::Problem& problem = circuit->problem;
-  const std::size_t chips =
-      cli.get("chips") ? parse_size("chips", *cli.get("chips")) : 4000;
-  const std::size_t threads =
-      cli.get("threads") ? parse_size("threads", *cli.get("threads")) : 0;
+  std::size_t chips = 4000;
+  std::size_t threads = 0;
+  read_unsigned(cli, "chips", chips);
+  read_unsigned(cli, "threads", threads);
   const bool criticality = cli.has_flag("criticality");
   const bool tuned = cli.has_flag("tuned") || criticality;
   if (sink.log != nullptr) {
@@ -747,18 +628,12 @@ int cmd_ssta(const Cli& cli) {
 core::FlowOptions flow_options_from(const Cli& cli,
                                     const core::Problem& problem) {
   core::FlowOptions opts;
-  if (const auto chips = cli.get("chips")) {
-    opts.chips = parse_size("chips", *chips);
-  }
-  if (const auto seed = cli.get("seed")) opts.seed = parse_u64("seed", *seed);
-  if (const auto td = cli.get("td")) {
-    opts.designated_period = parse_double("td", *td);
-  }
+  read_unsigned(cli, "chips", opts.chips);
+  read_unsigned(cli, "seed", opts.seed);
+  read_double(cli, "td", opts.designated_period);
   opts.use_prediction = !cli.has_flag("no-prediction");
   opts.test.align_with_buffers = !cli.has_flag("no-alignment");
-  if (const auto threads = cli.get("threads")) {
-    opts.threads = parse_size("threads", *threads);
-  }
+  read_unsigned(cli, "threads", opts.threads);
   if (const auto q = cli.get("quantile")) {
     stats::Rng rng(opts.seed ^ core::kQuantileCalibrationSeedXor);
     opts.designated_period =
@@ -862,10 +737,9 @@ int cmd_campaign(const Cli& cli) {
 
   if (const auto spec_path = cli.get("spec")) {
     if (cli.get("circuits") || cli.get("quantiles") || cli.get("modes")) {
-      std::cerr << "error: campaign: --spec carries its own circuits, "
-                   "quantiles and modes; drop --circuits/--quantiles/"
-                   "--modes\n";
-      return 2;
+      throw UsageError(
+          "campaign: --spec carries its own circuits, quantiles and modes; "
+          "drop --circuits/--quantiles/--modes");
     }
     io::Scenario scenario = io::load_scenario_file(*spec_path);
     copts = std::move(scenario.options);
@@ -877,19 +751,10 @@ int cmd_campaign(const Cli& cli) {
 
   // Explicit CLI options override the spec's knobs (and fill the defaults
   // of the spec-less path).
-  if (const auto chips = cli.get("chips")) {
-    copts.flow.chips = parse_size("chips", *chips);
-  }
-  if (const auto seed = cli.get("seed")) {
-    copts.flow.seed = parse_u64("seed", *seed);
-  }
-  if (const auto threads = cli.get("threads")) {
-    // flow.threads of 0 inherits this
-    copts.threads = parse_size("threads", *threads);
-  }
-  if (const auto inflation = cli.get("inflation")) {
-    copts.random_inflation = parse_double("inflation", *inflation);
-  }
+  read_unsigned(cli, "chips", copts.flow.chips);
+  read_unsigned(cli, "seed", copts.flow.seed);
+  read_unsigned(cli, "threads", copts.threads);  // flow.threads 0 inherits it
+  read_double(cli, "inflation", copts.random_inflation);
 
   if (!cli.get("spec")) {
     std::vector<std::string> circuits;
@@ -913,8 +778,7 @@ int cmd_campaign(const Cli& cli) {
         try {
           kinds.push_back(core::job_kind_from(mode));
         } catch (const std::invalid_argument& e) {
-          std::cerr << "error: campaign: --modes: " << e.what() << '\n';
-          return 2;
+          throw UsageError(std::string("campaign: --modes: ") + e.what());
         }
       }
     }
@@ -927,15 +791,10 @@ int cmd_campaign(const Cli& cli) {
   const auto checkpoint_path = cli.get("checkpoint");
   const bool resume = cli.has_flag("resume");
   if (resume && !checkpoint_path) {
-    std::cerr << "error: campaign: --resume needs --checkpoint=<file>\n";
-    return 2;
+    throw UsageError("campaign: --resume needs --checkpoint=<file>");
   }
-  if (const auto stop = cli.get("stop-after")) {
-    copts.max_jobs = parse_size("stop-after", *stop);
-    if (copts.max_jobs == 0) {
-      std::cerr << "error: campaign: --stop-after must be at least 1\n";
-      return 2;
-    }
+  if (read_unsigned(cli, "stop-after", copts.max_jobs) && copts.max_jobs == 0) {
+    throw UsageError("campaign: --stop-after must be at least 1");
   }
   std::unique_ptr<io::CheckpointWriter> writer;
   if (checkpoint_path) {
@@ -952,10 +811,9 @@ int cmd_campaign(const Cli& cli) {
     } else if (std::ifstream(*checkpoint_path).good()) {
       // Never clobber a checkpoint silently: it may belong to a run the
       // user meant to resume.
-      std::cerr << "error: campaign: checkpoint " << *checkpoint_path
-                << " already exists; pass --resume to continue it or remove "
-                   "it first\n";
-      return 2;
+      throw UsageError("campaign: checkpoint " + *checkpoint_path +
+                       " already exists; pass --resume to continue it or "
+                       "remove it first");
     }
     writer = std::make_unique<io::CheckpointWriter>(
         *checkpoint_path, identity, jobs.size(), copts.completed);
@@ -1090,13 +948,7 @@ int cmd_tune_connect(const Cli& cli, const std::string& target) {
         "tune: --simulate and --connect are mutually exclusive (a connected "
         "session already simulates its dies against the server)");
   }
-  const auto colon = target.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == target.size()) {
-    throw UsageError("--connect=" + target + ": expected host:port");
-  }
-  const std::string host = target.substr(0, colon);
-  const std::uint16_t port = parse_port("connect", target.substr(colon + 1));
+  const auto [host, port] = split_host_port("connect", target);
 
   const auto circuit = provision_circuit(cli);
   if (circuit->model.num_pairs() == 0) {
@@ -1104,15 +956,9 @@ int cmd_tune_connect(const Cli& cli, const std::string& target) {
     return 1;
   }
   net::ClientOptions copts;
-  if (const auto chips = cli.get("chips")) {
-    copts.chips = parse_size("chips", *chips);
-  }
-  if (const auto window = cli.get("window")) {
-    copts.window = parse_size("window", *window);
-  }
-  if (const auto retries = cli.get("connect-retries")) {
-    copts.connect_retries = parse_size("connect-retries", *retries);
-  }
+  read_unsigned(cli, "chips", copts.chips);
+  read_unsigned(cli, "window", copts.window);
+  read_unsigned(cli, "connect-retries", copts.connect_retries);
   copts.lenient = cli.has_flag("lenient");
   const net::ClientResult result =
       net::run_loopback_client(host, port, circuit->problem, copts);
@@ -1146,14 +992,12 @@ int cmd_tune(const Cli& cli) {
   // answers stimuli itself, so a --responses log would be ignored; --log
   // records the simulated responses and means nothing without --simulate.
   if (cli.has_flag("simulate") && cli.get("responses")) {
-    std::cerr << "error: tune: --simulate and --responses are mutually "
-                 "exclusive\n";
-    return 2;
+    throw UsageError("tune: --simulate and --responses are mutually exclusive");
   }
   if (cli.get("log") && !cli.has_flag("simulate")) {
-    std::cerr << "error: tune: --log only records simulated responses; "
-                 "combine it with --simulate\n";
-    return 2;
+    throw UsageError(
+        "tune: --log only records simulated responses; combine it with "
+        "--simulate");
   }
   const LogSink sink = make_structured_log(cli);
   const auto circuit = provision_circuit(cli);
@@ -1162,18 +1006,15 @@ int cmd_tune(const Cli& cli) {
     return 1;
   }
   core::FlowOptions opts = flow_options_from(cli, circuit->problem);
-  const std::size_t chips = cli.get("chips")
-                                ? parse_size("chips", *cli.get("chips"))
-                                : std::size_t{1};
+  std::size_t chips = 1;
+  read_unsigned(cli, "chips", chips);
 
   // The shared-ownership constructor: the service keeps the provisioned
   // bundle alive for every session it mints.
   const core::TunerService service(circuit, opts);
   io::TuneServerOptions topts;
   topts.lenient = cli.has_flag("lenient");
-  if (const auto window = cli.get("window")) {
-    topts.chip_window = parse_size("window", *window);
-  }
+  read_unsigned(cli, "window", topts.chip_window);
   topts.log = sink.log;  // per-chip begin/final_test/report events
   io::TuneServer server(service, chips, topts);
 
@@ -1226,22 +1067,11 @@ int cmd_tune(const Cli& cli) {
 /// (net::ServerOptions).
 void parse_server_options(const Cli& cli, net::ServerOptions& options) {
   if (const auto host = cli.get("host")) options.host = *host;
-  if (const auto port = cli.get("port")) {
-    options.port = parse_port("port", *port);
-  }
-  if (const auto status_port = cli.get("status-port")) {
-    options.status_port =
-        static_cast<int>(parse_port("status-port", *status_port));
-  }
-  if (const auto pending = cli.get("max-pending")) {
-    options.max_pending = parse_size("max-pending", *pending);
-  }
-  if (const auto sessions = cli.get("max-sessions")) {
-    options.max_sessions = parse_size("max-sessions", *sessions);
-  }
-  if (const auto timeout = cli.get("io-timeout")) {
-    options.io_timeout_seconds = parse_double("io-timeout", *timeout);
-  }
+  read_unsigned(cli, "port", options.port, 65535);
+  read_unsigned(cli, "status-port", options.status_port, 65535);
+  read_unsigned(cli, "max-pending", options.max_pending);
+  read_unsigned(cli, "max-sessions", options.max_sessions);
+  read_double(cli, "io-timeout", options.io_timeout_seconds);
 }
 
 /// SIGTERM/SIGINT drain hook for `serve` and `balance` — the handler may
@@ -1280,18 +1110,11 @@ int cmd_serve(const Cli& cli) {
   net::ServeOptions sopts;
   sopts.log = sink.log;
   parse_server_options(cli, sopts);
-  if (const auto workers = cli.get("workers")) {
-    sopts.workers = parse_size("workers", *workers);
-    if (sopts.workers == 0) {
-      throw UsageError("--workers must be at least 1");
-    }
+  if (read_unsigned(cli, "workers", sopts.workers) && sopts.workers == 0) {
+    throw UsageError("--workers must be at least 1");
   }
-  if (const auto window = cli.get("window")) {
-    sopts.chip_window = parse_size("window", *window);
-  }
-  if (const auto chips = cli.get("max-chips")) {
-    sopts.max_chips_per_session = parse_size("max-chips", *chips);
-  }
+  read_unsigned(cli, "window", sopts.chip_window);
+  read_unsigned(cli, "max-chips", sopts.max_chips_per_session);
 
   const auto circuit = provision_circuit(cli);
   if (circuit->model.num_pairs() == 0) {
@@ -1341,7 +1164,7 @@ int cmd_balance(const Cli& cli) {
     }
   }
   std::size_t spawn = 0;
-  if (const auto s = cli.get("spawn")) spawn = parse_size("spawn", *s);
+  read_unsigned(cli, "spawn", spawn);
   if (endpoints.empty() && spawn == 0) {
     throw UsageError("balance needs --workers=host:port,... and/or --spawn=N");
   }
@@ -1369,9 +1192,7 @@ int cmd_balance(const Cli& cli) {
   }
 
   fleet::RegistryOptions ropts;
-  if (const auto interval = cli.get("probe-interval")) {
-    ropts.probe_interval_seconds = parse_double("probe-interval", *interval);
-  }
+  read_double(cli, "probe-interval", ropts.probe_interval_seconds);
   fleet::WorkerRegistry registry(ropts);
   for (const fleet::WorkerEndpoint& endpoint : endpoints) {
     (void)registry.add_worker(endpoint);
@@ -1406,15 +1227,11 @@ int cmd_balance(const Cli& cli) {
   fleet::BalancerOptions bopts;
   bopts.log = sink.log;
   parse_server_options(cli, bopts);
-  if (const auto relay = cli.get("relay-workers")) {
-    bopts.relay_workers = parse_size("relay-workers", *relay);
-    if (bopts.relay_workers == 0) {
-      throw UsageError("--relay-workers must be at least 1");
-    }
+  if (read_unsigned(cli, "relay-workers", bopts.relay_workers) &&
+      bopts.relay_workers == 0) {
+    throw UsageError("--relay-workers must be at least 1");
   }
-  if (const auto retries = cli.get("retries")) {
-    bopts.max_session_retries = parse_size("retries", *retries);
-  }
+  read_unsigned(cli, "retries", bopts.max_session_retries);
 
   // All registry slots exist by here (the FleetBalancer per-slot gauge
   // contract); endpoints still flow in from banners afterwards.
@@ -1519,19 +1336,13 @@ int main(int argc, char** argv) {
     if (cli.command == "balance") return cmd_balance(cli);
     if (cli.command == "status") return cmd_status(cli);
     return 2;  // unreachable: validate_cli rejected unknown commands
-  } catch (const UsageError& e) {
-    std::cerr << "error: " << e.what() << '\n';
-    return 2;
-  } catch (const io::ScenarioError& e) {
-    // A malformed scenario spec is a usage error, same as a bad option.
-    std::cerr << "error: " << e.what() << '\n';
-    return 2;
-  } catch (const io::CheckpointError& e) {
-    // Corrupt or mismatched checkpoints are bad inputs, not crashes.
-    std::cerr << "error: " << e.what() << '\n';
-    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
-    return 1;
+    // A bad option, a malformed scenario spec and a corrupt or mismatched
+    // checkpoint are bad inputs (exit 2); anything else failed at runtime.
+    const bool bad_input = dynamic_cast<const UsageError*>(&e) ||
+                           dynamic_cast<const io::ScenarioError*>(&e) ||
+                           dynamic_cast<const io::CheckpointError*>(&e);
+    return bad_input ? 2 : 1;
   }
 }
