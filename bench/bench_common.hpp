@@ -11,7 +11,8 @@
 //   --threads=N    worker threads for the flow-driven benches (0 = all
 //                  cores; results are identical for any value — DESIGN.md
 //                  §8; the pure-solver ablations ignore it)
-// A malformed number (--chips=abc, --chips=-1) exits 2 naming the argument.
+// A malformed number (--chips=abc, --chips=-1) or an unknown argument
+// (--chip=5) exits 2 naming the argument, rather than running the default.
 
 #include <cstdint>
 #include <cstdlib>
@@ -65,7 +66,8 @@ inline BenchArgs parse_args(int argc, char** argv) {
       std::string piece;
       while (std::getline(ss, piece, ',')) args.circuits.push_back(piece);
     } else {
-      std::cerr << "unknown argument: " << a << "\n";
+      std::cerr << "error: unknown argument: " << a << "\n";
+      std::exit(2);
     }
   }
   return args;

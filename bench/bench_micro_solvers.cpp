@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -235,6 +236,14 @@ void BM_AlignmentCoordinateDescentReuse(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(&core::solve_alignment(inst, workspace));
   }
+  // Work per solve: deterministic, unlike the wall time above.
+  const auto per_solve = [&](std::uint64_t total) {
+    return benchmark::Counter(static_cast<double>(total),
+                              benchmark::Counter::kAvgIterations);
+  };
+  state.counters["scans"] = per_solve(workspace.scans);
+  state.counters["step_evals"] = per_solve(workspace.step_evals);
+  state.counters["static_builds"] = per_solve(workspace.static_builds);
 }
 BENCHMARK(BM_AlignmentCoordinateDescentReuse);
 

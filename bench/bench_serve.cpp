@@ -58,7 +58,7 @@ struct ServeBenchArgs {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // bench_common's parser warns on the serve-specific options; strip them
+  // bench_common's parser rejects the serve-specific options; strip them
   // first and hand it the rest.
   ServeBenchArgs sargs;
   std::vector<char*> passthrough;

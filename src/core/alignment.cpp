@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "lp/solver.hpp"
 
@@ -40,61 +41,50 @@ bool hold_ok(const AlignmentInstance& inst, std::span<const int> steps) {
   return true;
 }
 
-/// The workspace's static point set, sorted, with prefix sums: evaluates
-/// sum(w |T - m|) and proposes weighted-median candidates in O(log n).
-class StaticPoints {
- public:
-  explicit StaticPoints(AlignmentWorkspace& ws)
-      : pts_(ws.points), prefix_w_(ws.prefix_w), prefix_wm_(ws.prefix_wm) {}
+/// Never a buffer index: build_static(ws, kExcludeNone) keeps every entry.
+constexpr int kExcludeNone = std::numeric_limits<int>::min();
 
-  /// Sort the (center, weight) points gathered in the workspace and
-  /// rebuild the prefix sums.
-  void build() {
-    std::sort(pts_.begin(), pts_.end());
-    prefix_w_.resize(pts_.size() + 1);
-    prefix_wm_.resize(pts_.size() + 1);
-    prefix_w_[0] = 0.0;
-    prefix_wm_[0] = 0.0;
-    for (std::size_t i = 0; i < pts_.size(); ++i) {
-      prefix_w_[i + 1] = prefix_w_[i] + pts_[i].second;
-      prefix_wm_[i + 1] = prefix_wm_[i] + pts_[i].second * pts_[i].first;
-    }
+/// How many of the ascending `centers` are at or below `t`: the index
+/// std::upper_bound returns, counted without a branch per point.
+std::size_t split_index(std::span<const double> centers, double t) {
+  std::size_t k = 0;
+  for (const double m : centers) k += static_cast<std::size_t>(!(t < m));
+  return k;
+}
+
+/// sum over static points of w * |T - m|, from the prefix sums.
+inline double static_objective(const AlignmentWorkspace& ws, double t) {
+  const std::size_t k = split_index(ws.static_m, t);
+  const double left = t * ws.prefix_w[k] - ws.prefix_wm[k];
+  const double right = (ws.prefix_wm.back() - ws.prefix_wm[k]) -
+                       t * (ws.prefix_w.back() - ws.prefix_w[k]);
+  return left + right;
+}
+
+/// Static point whose cumulative weight first reaches `target` (the static
+/// set is not empty).
+double point_at_mass(const AlignmentWorkspace& ws, double target) {
+  const std::size_t k = static_cast<std::size_t>(
+      std::lower_bound(ws.prefix_w.begin() + 1, ws.prefix_w.end(), target) -
+      (ws.prefix_w.begin() + 1));
+  return ws.static_m[std::min(k, ws.static_m.size() - 1)];
+}
+
+/// The static point set: the entries of `ws.sorted` touching no buffer
+/// `exclude`, in order (filtering a sorted list keeps it sorted), with the
+/// prefix sums accumulated left to right.
+void build_static(AlignmentWorkspace& ws, int exclude) {
+  ws.static_m.clear();
+  ws.prefix_w.assign(1, 0.0);
+  ws.prefix_wm.assign(1, 0.0);
+  for (const AlignmentWorkspace::SortedEntry& e : ws.sorted) {
+    if (e.src_buf == exclude || e.dst_buf == exclude) continue;
+    ws.static_m.push_back(e.center);
+    ws.prefix_w.push_back(ws.prefix_w.back() + e.weight);
+    ws.prefix_wm.push_back(ws.prefix_wm.back() + e.weight * e.center);
   }
-
-  [[nodiscard]] double total_weight() const {
-    return prefix_w_.empty() ? 0.0 : prefix_w_.back();
-  }
-
-  /// sum over static points of w * |T - m|.
-  [[nodiscard]] double objective(double t) const {
-    const std::size_t k = static_cast<std::size_t>(
-        std::upper_bound(pts_.begin(), pts_.end(), t,
-                         [](double v, const std::pair<double, double>& p) {
-                           return v < p.first;
-                         }) -
-        pts_.begin());
-    const double left = t * prefix_w_[k] - prefix_wm_[k];
-    const double right = (prefix_wm_.back() - prefix_wm_[k]) -
-                         t * (prefix_w_.back() - prefix_w_[k]);
-    return left + right;
-  }
-
-  /// Static point whose cumulative weight first reaches `target`.
-  [[nodiscard]] double point_at_mass(double target) const {
-    if (pts_.empty()) return 0.0;
-    const std::size_t k = static_cast<std::size_t>(
-        std::lower_bound(prefix_w_.begin() + 1, prefix_w_.end(), target) -
-        (prefix_w_.begin() + 1));
-    return pts_[std::min(k, pts_.size() - 1)].first;
-  }
-
-  [[nodiscard]] bool empty() const { return pts_.empty(); }
-
- private:
-  std::vector<std::pair<double, double>>& pts_;
-  std::vector<double>& prefix_w_;
-  std::vector<double>& prefix_wm_;
-};
+  ++ws.static_builds;
+}
 
 /// The L1 optimum over a point multiset (static via prefix sums, dynamic
 /// explicit) sits on one of the points. Candidates are the dynamic points
@@ -102,41 +92,43 @@ class StaticPoints {
 /// weight. Those crossings and their static objective depend only on the
 /// static set and the dynamic weights, so hoist_static() computes them once
 /// per static set and best_period() reuses them for every dynamic position.
-void hoist_static(const StaticPoints& stat,
-                  std::span<const std::pair<double, double>> dyn,
-                  AlignmentWorkspace& ws) {
+void hoist_static(AlignmentWorkspace& ws) {
   double dyn_w = 0.0;
-  for (const auto& [m, w] : dyn) dyn_w += w;
-  const double half = 0.5 * (stat.total_weight() + dyn_w);
+  for (const auto& p : ws.dyn) dyn_w += p.weight;
+  const double half = 0.5 * (ws.prefix_w.back() + dyn_w);
   ws.static_t.clear();
   ws.static_obj.clear();
-  if (stat.empty()) return;
+  if (ws.static_m.empty()) return;
   double left_dyn = 0.0;
-  ws.static_t.push_back(stat.point_at_mass(half));
-  for (const auto& [m, w] : dyn) {
-    left_dyn += w;
-    ws.static_t.push_back(stat.point_at_mass(half - left_dyn));
+  ws.static_t.push_back(point_at_mass(ws, half));
+  for (const auto& p : ws.dyn) {
+    left_dyn += p.weight;
+    ws.static_t.push_back(point_at_mass(ws, half - left_dyn));
   }
-  for (double t : ws.static_t) ws.static_obj.push_back(stat.objective(t));
+  for (const double t : ws.static_t) {
+    ws.static_obj.push_back(static_objective(ws, t));
+  }
 }
 
 /// Best (T, objective) over the dynamic points (in order), then the hoisted
 /// static candidates; the first strict minimum wins.
-std::pair<double, double> best_period(
-    const StaticPoints& stat, std::span<const std::pair<double, double>> dyn,
-    const AlignmentWorkspace& ws) {
-  double best_t = !dyn.empty()             ? dyn.front().first
+inline std::pair<double, double> best_period(const AlignmentWorkspace& ws) {
+  double best_t = !ws.dyn.empty()          ? ws.dyn.front().m
                   : !ws.static_t.empty() ? ws.static_t.front()
                                          : 0.0;
   double best_obj = std::numeric_limits<double>::infinity();
   const auto consider = [&](double t, double obj) {
-    for (const auto& [m, w] : dyn) obj += w * std::abs(t - m);
+    for (const AlignmentWorkspace::DynPoint& p : ws.dyn) {
+      obj += p.weight * std::abs(t - p.m);
+    }
     if (obj < best_obj) {
       best_obj = obj;
       best_t = t;
     }
   };
-  for (const auto& [t, w] : dyn) consider(t, stat.objective(t));
+  for (const AlignmentWorkspace::DynPoint& p : ws.dyn) {
+    consider(p.m, static_objective(ws, p.m));
+  }
   for (std::size_t j = 0; j < ws.static_t.size(); ++j) {
     consider(ws.static_t[j], ws.static_obj[j]);
   }
@@ -186,41 +178,44 @@ void solve_coordinate_descent(const AlignmentInstance& inst,
     ws.hold_begin.push_back(ws.hold_entries.size());
   }
 
-  // TunableBuffer::value(k) is r + step_size() * k; the step size (a
-  // division) is computed once per buffer, the rest exactly as value() does.
-  ws.step_size.clear();
-  for (const TunableBuffer& buf : problem.buffers()) {
-    ws.step_size.push_back(buf.step_size());
-  }
-  const auto x = [&](std::span<const int> steps, int buf) {
+  // TunableBuffer::value(k) is r + step_size() * k; the Problem holds the
+  // step sizes (a division each), the rest is exactly what value() does.
+  const std::vector<double>& step_size = problem.step_sizes();
+  const auto x = [&](int buf) {
     if (buf < 0) return 0.0;
     const auto bi = static_cast<std::size_t>(buf);
-    return problem.buffers()[bi].r + ws.step_size[bi] * steps[bi];
+    return problem.buffers()[bi].r + step_size[bi] * out.steps[bi];
   };
-  const auto hold_ok_for = [&](std::span<const std::size_t> idx,
-                               std::span<const int> steps) {
-    for (std::size_t h : idx) {
-      const HoldConstraintX& hc = inst.hold[h];
-      const double skew = x(steps, hc.src_buf) - x(steps, hc.dst_buf);
-      if (skew < hc.lambda - 1e-9) return false;
+  const auto shifted = [&](const AlignmentEntry& e) {
+    return e.center + x(e.src_buf) - x(e.dst_buf);
+  };
+
+  // Every entry at the current steps, sorted by (center, weight, index).
+  // Only a move changes a center, so only a move re-sorts; each scan's
+  // static set is then a filter of this list, with no sort of its own.
+  const auto sort_entries = [&] {
+    for (AlignmentWorkspace::SortedEntry& e : ws.sorted) {
+      e.center = shifted(inst.entries[e.index]);
     }
-    return true;
+    std::sort(ws.sorted.begin(), ws.sorted.end(),
+              [](const AlignmentWorkspace::SortedEntry& a,
+                 const AlignmentWorkspace::SortedEntry& b) {
+                return std::tie(a.center, a.weight, a.index) <
+                       std::tie(b.center, b.weight, b.index);
+              });
   };
-
-  const auto shifted = [&](const AlignmentEntry& e, std::span<const int> steps) {
-    return e.center + x(steps, e.src_buf) - x(steps, e.dst_buf);
-  };
-
-  StaticPoints stat(ws);
+  ws.sorted.clear();
+  for (std::size_t i = 0; i < inst.entries.size(); ++i) {
+    const AlignmentEntry& e = inst.entries[i];
+    ws.sorted.push_back({0.0, e.weight, e.src_buf, e.dst_buf, i});
+  }
+  sort_entries();
   {
     // Initial (T, objective) with everything static.
-    ws.points.clear();
-    for (const AlignmentEntry& e : inst.entries) {
-      ws.points.emplace_back(shifted(e, out.steps), e.weight);
-    }
-    stat.build();
-    hoist_static(stat, {}, ws);
-    const auto [t, obj] = best_period(stat, {}, ws);
+    build_static(ws, kExcludeNone);
+    ws.dyn.clear();
+    hoist_static(ws);
+    const auto [t, obj] = best_period(ws);
     out.period = t;
     out.objective = obj;
   }
@@ -236,53 +231,56 @@ void solve_coordinate_descent(const AlignmentInstance& inst,
   for (int round = 0; round < 32 && quiet < involved.size(); ++round) {
     for (std::size_t v = 0; v < involved.size() && quiet < involved.size();
          ++v) {
-      const auto bi = static_cast<std::size_t>(involved[v]);
-      const TunableBuffer& buf = problem.buffers()[bi];
-      const std::span<const std::size_t> dyn_idx =
-          std::span<const std::size_t>(ws.dyn_entries)
-              .subspan(ws.dyn_begin[v], ws.dyn_begin[v + 1] - ws.dyn_begin[v]);
-      const std::span<const std::size_t> hold_idx =
-          std::span<const std::size_t>(ws.hold_entries)
-              .subspan(ws.hold_begin[v],
-                       ws.hold_begin[v + 1] - ws.hold_begin[v]);
+      const int b = involved[v];
+      const auto bi = static_cast<std::size_t>(b);
+      ++ws.scans;
 
-      // Static part: every entry not touching b, at the current steps. It
-      // is built on the first hold-feasible step, with its candidates.
-      bool static_ready = false;
-      const auto prepare_static = [&] {
-        ws.points.clear();
-        std::size_t next_dyn = 0;
-        for (std::size_t i = 0; i < inst.entries.size(); ++i) {
-          if (next_dyn < dyn_idx.size() && dyn_idx[next_dyn] == i) {
-            ++next_dyn;
-            continue;
-          }
-          ws.points.emplace_back(shifted(inst.entries[i], out.steps),
-                                 inst.entries[i].weight);
-        }
-        stat.build();
-        hoist_static(stat, ws.dyn, ws);
-        static_ready = true;
+      // b's entries (the dynamic points) and hold bounds, with every side
+      // that is not b's fixed at the current steps.
+      const auto skew = [&](int src, int dst) {
+        return AlignmentWorkspace::ScanTerm{src == b ? 0.0 : x(src),
+                                            dst == b ? 0.0 : x(dst), src == b,
+                                            dst == b};
       };
-
-      // Dynamic part: the entries touching b. Their weights are fixed;
-      // their shifted centers move with b's step.
       ws.dyn.clear();
-      for (std::size_t i : dyn_idx) {
-        ws.dyn.emplace_back(0.0, inst.entries[i].weight);
+      for (std::size_t d = ws.dyn_begin[v]; d < ws.dyn_begin[v + 1]; ++d) {
+        const AlignmentEntry& e = inst.entries[ws.dyn_entries[d]];
+        ws.dyn.push_back({e.center, e.weight, 0.0, skew(e.src_buf, e.dst_buf)});
       }
+      ws.hold_bounds.clear();
+      for (std::size_t h = ws.hold_begin[v]; h < ws.hold_begin[v + 1]; ++h) {
+        const HoldConstraintX& hc = inst.hold[ws.hold_entries[h]];
+        ws.hold_bounds.push_back(
+            {hc.lambda - 1e-9, skew(hc.src_buf, hc.dst_buf)});
+      }
+
+      // The static part (every entry not touching b) is built on the first
+      // hold-feasible step, with its candidates.
+      bool static_ready = false;
+      const double r = problem.buffers()[bi].r;
+      const double step = step_size[bi];
       const int saved = out.steps[bi];
       int best_step = saved;
       double best_t = out.period;
-      for (int k = 0; k < buf.steps; ++k) {
+      for (int k = 0; k < problem.buffers()[bi].steps; ++k) {
         if (k == saved) continue;
-        out.steps[bi] = k;
-        if (!hold_ok_for(hold_idx, out.steps)) continue;
-        if (!static_ready) prepare_static();
-        for (std::size_t d = 0; d < dyn_idx.size(); ++d) {
-          ws.dyn[d].first = shifted(inst.entries[dyn_idx[d]], out.steps);
+        const double xb = r + step * k;
+        bool feasible = true;
+        for (std::size_t h = 0; h < ws.hold_bounds.size() && feasible; ++h) {
+          const AlignmentWorkspace::HoldBound& hb = ws.hold_bounds[h];
+          feasible = !(hb.skew.src(xb) - hb.skew.dst(xb) < hb.floor);
         }
-        const auto [t, obj] = best_period(stat, ws.dyn, ws);
+        if (!feasible) continue;
+        if (!static_ready) {
+          build_static(ws, b);
+          hoist_static(ws);
+          static_ready = true;
+        }
+        for (AlignmentWorkspace::DynPoint& p : ws.dyn) {
+          p.m = p.center + p.skew.src(xb) - p.skew.dst(xb);
+        }
+        ++ws.step_evals;
+        const auto [t, obj] = best_period(ws);
         if (obj < best - 1e-12) {
           best = obj;
           best_step = k;
@@ -293,6 +291,7 @@ void solve_coordinate_descent(const AlignmentInstance& inst,
       if (best_step != saved) {
         out.period = best_t;
         quiet = 0;
+        sort_entries();
       } else {
         ++quiet;
       }

@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -81,8 +80,45 @@ enum class MilpForm : std::uint8_t {
 /// cache, like timing::SampleWorkspace: results never depend on what it
 /// held before. Keep one per tester loop.
 struct AlignmentWorkspace {
-  /// buffers()[b].step_size(), so a buffer value costs no division.
-  std::vector<double> step_size;
+  /// One entry at the current steps; `sorted` orders them by (center,
+  /// weight, index).
+  struct SortedEntry {
+    double center = 0.0;  ///< shifted center
+    double weight = 0.0;
+    int src_buf = -1;
+    int dst_buf = -1;
+    std::size_t index = 0;  ///< into AlignmentInstance::entries
+  };
+  /// x_src - x_dst of an entry or hold bound during the scan of buffer b:
+  /// a side is b's value when it `moves`, else its fixed value.
+  struct ScanTerm {
+    double fixed_src = 0.0;
+    double fixed_dst = 0.0;
+    bool src_moves = false;
+    bool dst_moves = false;
+
+    /// x_src and x_dst with b at value `xb`.
+    [[nodiscard]] double src(double xb) const {
+      return src_moves ? xb : fixed_src;
+    }
+    [[nodiscard]] double dst(double xb) const {
+      return dst_moves ? xb : fixed_dst;
+    }
+  };
+  /// An entry of the scanned buffer: its weight is fixed, its shifted
+  /// center `m` = center + x_src - x_dst moves with the step being tried.
+  struct DynPoint {
+    double center = 0.0;
+    double weight = 0.0;
+    double m = 0.0;
+    ScanTerm skew;
+  };
+  /// A hold bound of the scanned buffer: x_src - x_dst >= lambda - 1e-9.
+  struct HoldBound {
+    double floor = 0.0;
+    ScanTerm skew;
+  };
+
   /// Movable buffers, ascending and de-duplicated.
   std::vector<int> involved;
   /// Entries / hold bounds touching involved[v]:
@@ -91,15 +127,26 @@ struct AlignmentWorkspace {
   std::vector<std::size_t> dyn_entries;
   std::vector<std::size_t> hold_begin;
   std::vector<std::size_t> hold_entries;
-  /// Static point set: (shifted center, weight), sorted, with prefix sums.
-  std::vector<std::pair<double, double>> points;
+  /// Every entry, sorted at the current steps; re-sorted after each move.
+  std::vector<SortedEntry> sorted;
+  /// Static point set: `sorted` minus the scanned buffer's entries, as
+  /// ascending centers with prefix sums of w and w * center.
+  std::vector<double> static_m;
   std::vector<double> prefix_w;
   std::vector<double> prefix_wm;
-  /// Per-step dynamic points and the step-invariant static candidates
-  /// with their static objective.
-  std::vector<std::pair<double, double>> dyn;
+  /// The scanned buffer's entries (the dynamic points) and hold bounds.
+  std::vector<DynPoint> dyn;
+  std::vector<HoldBound> hold_bounds;
+  /// The step-invariant static candidates with their static objective.
   std::vector<double> static_t;
   std::vector<double> static_obj;
+  /// Work done by every solve with this workspace: buffer scans, steps
+  /// evaluated (hold-feasible steps whose best period is computed) and
+  /// static point sets built (one per solve plus one per scan that reaches
+  /// a feasible step). Deterministic, so they can be gated exactly.
+  std::uint64_t scans = 0;
+  std::uint64_t step_evals = 0;
+  std::uint64_t static_builds = 0;
   /// Last result; valid until the next solve with this workspace.
   AlignmentResult result;
 };

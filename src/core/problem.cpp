@@ -25,6 +25,7 @@ Problem::Problem(const timing::CircuitModel& model, double reference_period,
   const double tau = reference_period_ / 8.0;
   for (int ff : model.buffered_ffs()) {
     buffers_.push_back(TunableBuffer{ff, -tau / 2.0, tau, steps});
+    step_sizes_.push_back(buffers_.back().step_size());
   }
   const auto& pairs = model.pairs();
   src_buf_.resize(pairs.size());

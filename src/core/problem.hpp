@@ -45,6 +45,11 @@ class Problem {
     return buffers_;
   }
   [[nodiscard]] std::size_t num_buffers() const { return buffers_.size(); }
+  /// buffers()[b].step_size() for every buffer, computed once at build, so
+  /// a hot loop's buffer value r + step * k costs no division.
+  [[nodiscard]] const std::vector<double>& step_sizes() const {
+    return step_sizes_;
+  }
 
   /// Buffer index at the source/destination of monitored pair `p`
   /// (-1 when that side has no buffer, i.e. x == 0).
@@ -64,6 +69,7 @@ class Problem {
  private:
   const timing::CircuitModel* model_;
   std::vector<TunableBuffer> buffers_;
+  std::vector<double> step_sizes_;
   std::vector<int> src_buf_;
   std::vector<int> dst_buf_;
   double reference_period_ = 0.0;

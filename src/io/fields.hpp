@@ -1,14 +1,17 @@
 #pragma once
-// The one strict parser for each of two small grammars that every front
-// end shares: unsigned decimal fields (CLI and bench options, hello and
-// greeting fields) and `host:port` targets (CLI --connect/--workers, the
-// serving banner of a spawned worker). Neither throws.
+// The one strict parser for each of the small grammars that every front
+// end shares: unsigned decimal fields (CLI and bench options, hello,
+// greeting, stimulus and response fields), finite decimal numbers (CLI
+// options, stimulus periods), `host:port` targets (CLI --connect/--workers,
+// the serving banner of a spawned worker) and whitespace-separated words.
+// None throws.
 
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace effitest::io {
 
@@ -27,6 +30,15 @@ struct UnsignedField {
 [[nodiscard]] UnsignedField parse_unsigned(
     std::string_view text,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// `text` as a finite decimal number in std::from_chars' general format:
+/// nullopt for an empty text, whitespace, a leading '+', a hex float,
+/// trailing bytes, a value out of a double's range, "inf" or "nan".
+[[nodiscard]] std::optional<double> parse_finite_double(std::string_view text);
+
+/// `line` split on whitespace (the bytes `std::isspace` accepts in the
+/// classic locale); runs of separators count once.
+[[nodiscard]] std::vector<std::string_view> split_words(std::string_view line);
 
 struct HostPort {
   std::string host;

@@ -5,12 +5,12 @@
 #include <map>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "io/fields.hpp"
 #include "io/json.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/deterministic_for.hpp"
@@ -305,11 +305,14 @@ TuneServerResult TuneServer::run(std::istream& in, std::ostream& out) {
   // Consume one response line; early returns mirror the historical
   // `continue`s (any admissions they trigger are drained by the caller).
   const auto process_line = [&](const std::string& line) {
-    std::istringstream is(line);
-    std::string tag, bits, extra;
-    std::size_t chip = 0, seq = 0;
-    if (!(is >> tag) || tag != "response" || !(is >> chip >> seq >> bits) ||
-        (is >> extra)) {
+    // response <chip> <seq> <bits>
+    const std::vector<std::string_view> words = split_words(line);
+    const bool framed = words.size() == 4 && words[0] == "response";
+    const UnsignedField chip_field =
+        framed ? parse_unsigned(words[1]) : UnsignedField{};
+    const UnsignedField seq_field =
+        framed ? parse_unsigned(words[2]) : UnsignedField{};
+    if (!chip_field || !seq_field) {
       if (!lenient) {
         throw std::runtime_error("tune: malformed response line \"" + line +
                                  "\"");
@@ -317,6 +320,9 @@ TuneServerResult TuneServer::run(std::istream& in, std::ostream& out) {
       ++result.dropped_lines;  // attributable to no chip — drop it
       return;
     }
+    const std::size_t chip = chip_field.value;
+    const std::size_t seq = seq_field.value;
+    const std::string bits(words[3]);
     if (chip >= exchange.chips()) {
       if (!lenient) {
         throw std::runtime_error("tune: response for unknown chip " +

@@ -1,6 +1,7 @@
 #include "net/client.hpp"
 
-#include <sstream>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -14,19 +15,6 @@
 namespace effitest::net {
 
 namespace {
-
-/// `line` split on whitespace; runs of separators count once.
-std::vector<std::string_view> split_words(std::string_view line) {
-  constexpr std::string_view kSpace = " \t\n\v\f\r";
-  std::vector<std::string_view> words;
-  std::size_t pos = line.find_first_not_of(kSpace);
-  while (pos != std::string_view::npos) {
-    const std::size_t end = line.find_first_of(kSpace, pos);
-    words.push_back(line.substr(pos, end - pos));
-    pos = line.find_first_not_of(kSpace, end);
-  }
-  return words;
-}
 
 /// The unsigned field after `key` in `token`; malformed unless `token`
 /// starts with `key`.
@@ -44,7 +32,7 @@ io::UnsignedField keyed_field(std::string_view token, std::string_view key) {
 
 Hello parse_hello(const std::string& line) {
   Hello h;
-  const std::vector<std::string_view> words = split_words(line);
+  const std::vector<std::string_view> words = io::split_words(line);
   if (words.size() < 2 || words[0] != "hello" ||
       words[1] != "effitest-tune-v1") {
     h.error = "expected \"hello effitest-tune-v1 chips=<n>\"";
@@ -82,7 +70,7 @@ Hello parse_hello(const std::string& line) {
 }
 
 std::optional<Greeting> parse_greeting(const std::string& line) {
-  const std::vector<std::string_view> words = split_words(line);
+  const std::vector<std::string_view> words = io::split_words(line);
   if (words.size() != 4 || words[0] != "serve" ||
       words[1] != "effitest-tune-v1") {
     return std::nullopt;
@@ -136,8 +124,7 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
   // a truncated session, not a result.
   std::vector<bool> finished(options.chips, false);
   std::size_t unfinished = options.chips;
-  const auto finish = [&] {
-    const std::vector<std::string_view> words = split_words(line);
+  const auto finish = [&](const std::vector<std::string_view>& words) {
     const io::UnsignedField chip =
         io::parse_unsigned(words.size() > 1 ? words[1] : std::string_view());
     if (chip && chip.value < options.chips && !finished[chip.value]) {
@@ -148,9 +135,8 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
   bool saw_header = false;
   while (read_line()) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
+    const std::vector<std::string_view> words = io::split_words(line);
+    const std::string_view tag = words.empty() ? std::string_view() : words[0];
     if (tag == "bye") {
       if (unfinished > 0) {
         protocol_error(line, "bye with " + std::to_string(unfinished) +
@@ -165,44 +151,51 @@ ClientResult run_loopback_client(const std::string& host, std::uint16_t port,
     }
     if (tag == "report") {
       result.report_lines.push_back(line);
-      finish();
+      finish(words);
       continue;
     }
     if (tag == "error") {
       result.error_lines.push_back(line);
-      finish();
+      finish(words);
       continue;
     }
     if (tag != "stimulus" && tag != "final") {
       protocol_error(line, "unexpected server line");
     }
     if (!saw_header) protocol_error(line, "stimulus before session header");
-    std::size_t chip = 0, seq = 0;
-    core::Stimulus stim;
-    std::string marker;
-    if (!(is >> chip >> seq >> stim.period >> marker) || marker != "steps") {
+    // <tag> <chip> <seq> <period> steps <k>... [arm <pair>...]
+    if (words.size() < 5 || words[4] != "steps") {
       protocol_error(line, "malformed stimulus");
     }
+    const io::UnsignedField chip_field = io::parse_unsigned(words[1]);
+    const io::UnsignedField seq = io::parse_unsigned(words[2]);
+    const std::optional<double> period = io::parse_finite_double(words[3]);
+    if (!chip_field || !seq || !period) {
+      protocol_error(line, "malformed stimulus");
+    }
+    const std::size_t chip = chip_field.value;
     if (chip >= options.chips) protocol_error(line, "chip out of range");
-    std::string token;
+    core::Stimulus stim;
+    stim.period = *period;
     bool in_arm = false;
-    while (is >> token) {
-      if (token == "arm") {
+    for (std::size_t w = 5; w < words.size(); ++w) {
+      if (words[w] == "arm") {
         in_arm = true;
         continue;
       }
-      std::istringstream ts(token);
       if (in_arm) {
-        std::size_t pair = 0;
-        if (!(ts >> pair)) protocol_error(line, "malformed armed pair");
-        stim.armed.push_back(pair);
+        const io::UnsignedField pair = io::parse_unsigned(words[w]);
+        if (!pair) protocol_error(line, "malformed armed pair");
+        stim.armed.push_back(pair.value);
       } else {
-        int step = 0;
-        if (!(ts >> step)) protocol_error(line, "malformed step");
-        stim.steps.push_back(step);
+        const io::UnsignedField step = io::parse_unsigned(
+            words[w], static_cast<std::uint64_t>(
+                          std::numeric_limits<int>::max()));
+        if (!step) protocol_error(line, "malformed step");
+        stim.steps.push_back(static_cast<int>(step.value));
       }
     }
-    stream << "response " << chip << ' ' << seq << ' '
+    stream << "response " << chip << ' ' << seq.value << ' '
            << io::encode_bits(testers.answer(chip, stim, tag == "final"))
            << '\n';
     ++result.stimuli_answered;

@@ -105,6 +105,10 @@ CircuitModel::CircuitModel(const netlist::Netlist& netlist,
     }
   }
 
+  // The per-die draw's sigma of every mismatch slot, taken once.
+  slot_sigma_.reserve(slot_var_.size());
+  for (const double v : slot_var_) slot_sigma_.push_back(std::sqrt(v));
+
   // Inflation is applied after all forms exist (it needs base variances).
   if (options_.random_inflation > 1.0) {
     for (MonitoredPair& p : pairs_) {
@@ -216,9 +220,9 @@ linalg::Matrix CircuitModel::max_covariance(std::size_t threads) const {
 
 void CircuitModel::draw_deviates(stats::Rng& rng, SampleWorkspace& ws) const {
   variation_.sample_factors(rng, ws.factors);
-  ws.mismatch.resize(slot_var_.size());
-  for (std::size_t s = 0; s < slot_var_.size(); ++s) {
-    ws.mismatch[s] = rng.normal(0.0, std::sqrt(slot_var_[s]));
+  ws.mismatch.resize(slot_sigma_.size());
+  for (std::size_t s = 0; s < slot_sigma_.size(); ++s) {
+    ws.mismatch[s] = rng.normal(0.0, slot_sigma_[s]);
   }
 }
 

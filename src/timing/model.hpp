@@ -181,9 +181,11 @@ class CircuitModel {
   double hold_time_ = 0.0;
   double critical_ = 0.0;
 
-  // Mismatch bookkeeping: cell id -> slot, slot -> variance.
+  // Mismatch bookkeeping: cell id -> slot, slot -> variance and its square
+  // root (the per-die draw's sigma, taken once per slot).
   std::unordered_map<int, int> slot_of_cell_;
   std::vector<double> slot_var_;
+  std::vector<double> slot_sigma_;
 };
 
 }  // namespace effitest::timing

@@ -24,8 +24,10 @@ BENCH_BINARIES = sys.argv[3:]
 # Values no unsigned-integer option may accept.
 BAD_U64 = ["abc", "12x", "-3", "", "0x10", "99999999999999999999999999"]
 # Values no floating-point option may accept ("nan"/"inf" parse as doubles
-# but are meaningless as periods/quantiles/inflation factors).
-BAD_DOUBLE = ["abc", "12x", "", "nan", "inf", "1e999999"]
+# but are meaningless as periods/quantiles/inflation factors). A hex float,
+# leading whitespace and a leading '+' are not plain decimal numbers.
+BAD_DOUBLE = ["abc", "12x", "", "nan", "inf", "1e999999", "0x1p8", " 256",
+              "+256"]
 
 # (command-line prefix, option name, bad values). Each prefix provisions
 # the cheapest circuit that lets the command reach the numeric parse.
@@ -172,6 +174,11 @@ for binary in BENCH_BINARIES:
         for value in BAD_U64:
             arg = "--%s=%s" % (option, value)
             check([arg], 2, arg, binary=binary)
+
+# An unknown argument (here a typo of --chips) is a usage error too, not a
+# warning followed by the default run.
+for binary in BENCH_BINARIES:
+    check(["--chip=5"], 2, "--chip=5", binary=binary)
 
 if failures:
     print("\n%d FAILED:" % len(failures))

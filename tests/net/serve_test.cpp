@@ -675,6 +675,50 @@ TEST(LoopbackClient, ByeBeforeEveryChipIsReportedIsAnError) {
   }
 }
 
+TEST(LoopbackClient, StimulusFieldsAreParsedStrictly) {
+  net::ClientOptions options;
+  options.chips = 1;
+  options.connect_retries = 0;
+  const auto session = [](const std::string& stimulus) {
+    return "serve effitest-tune-v1 session=0 seed=1\n"
+           "effitest-tune-v1 chips=1 np=1 nb=2 td=900\n" +
+           stimulus + "\nreport 0 iterations=1\nbye\n";
+  };
+  {
+    FakeServer server(session("stimulus 0 0 900 steps 10 10 arm 0"));
+    const net::ClientResult result = net::run_loopback_client(
+        "127.0.0.1", server.port(), holder().problem, options);
+    EXPECT_EQ(result.stimuli_answered, 1u);
+  }
+  // Stream extraction read "+0" as 0, "-1" as 2^64-1 and "5x" as 5.
+  for (const char* bad : {
+           "stimulus +0 0 900 steps 10 10 arm 0",
+           "stimulus -1 0 900 steps 10 10 arm 0",
+           "stimulus 5x 0 900 steps 10 10 arm 0",
+           "stimulus 0 +0 900 steps 10 10 arm 0",
+           "stimulus 0 -1 900 steps 10 10 arm 0",
+           "stimulus 0 5x 900 steps 10 10 arm 0",
+           "stimulus 0 0 +900 steps 10 10 arm 0",
+           "stimulus 0 0 0x384 steps 10 10 arm 0",
+           "stimulus 0 0 900 steps +1 10 arm 0",
+           "stimulus 0 0 900 steps -1 10 arm 0",
+           "stimulus 0 0 900 steps 5x 10 arm 0",
+           "stimulus 0 0 900 steps 10 10 arm +0",
+           "stimulus 0 0 900 steps 10 10 arm -1",
+           "stimulus 0 0 900 steps 10 10 arm 5x",
+       }) {
+    FakeServer server(session(bad));
+    try {
+      (void)net::run_loopback_client("127.0.0.1", server.port(),
+                                     holder().problem, options);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+}
+
 TEST(LoadBalancer, ServesOldestTaskFirst) {
   net::LoadBalancer<int> lb;
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(lb.dispatch(i));

@@ -1,20 +1,25 @@
 // The shared strict field parsers (io/fields.hpp): every unsigned CLI,
-// bench and wire field and every host:port target goes through these, so
-// their accept/reject table is pinned here once.
+// bench and wire field, every decimal CLI option and stimulus period, and
+// every host:port target goes through these, so their accept/reject table
+// is pinned here once.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "io/fields.hpp"
 
 namespace {
 
 using effitest::io::HostPort;
+using effitest::io::parse_finite_double;
 using effitest::io::parse_host_port;
 using effitest::io::parse_unsigned;
+using effitest::io::split_words;
 using Status = effitest::io::UnsignedField::Status;
 
 TEST(UnsignedField, AcceptsPlainDigitsUpToTheBound) {
@@ -42,6 +47,29 @@ TEST(UnsignedField, OverflowIsOutOfRangeNotMalformed) {
   // Trailing bytes after an overflowing number are still malformed.
   EXPECT_EQ(parse_unsigned("99999999999999999999999999x").status,
             Status::kMalformed);
+}
+
+TEST(FiniteDouble, AcceptsDecimalNumbers) {
+  EXPECT_EQ(parse_finite_double("256"), 256.0);
+  EXPECT_EQ(parse_finite_double("-1.5"), -1.5);
+  EXPECT_EQ(parse_finite_double("2.5e2"), 250.0);
+  EXPECT_EQ(parse_finite_double(".5"), 0.5);
+  // The shortest round-trip spelling reads back the same bits.
+  EXPECT_EQ(parse_finite_double("201.65000000000001"), 201.65000000000001);
+}
+
+TEST(FiniteDouble, RejectsHexSpaceSignsTrailingBytesAndNonFinite) {
+  for (const char* bad : {"", " 256", "256 ", "+256", "0x1p8", "0x10", "12x",
+                          "abc", "nan", "inf", "-inf", "1e999999", "1,5"}) {
+    EXPECT_FALSE(parse_finite_double(bad)) << bad;
+  }
+}
+
+TEST(Words, SplitOnAnyRunOfWhitespace) {
+  EXPECT_EQ(split_words("  response 0\t1  01\r"),
+            (std::vector<std::string_view>{"response", "0", "1", "01"}));
+  EXPECT_TRUE(split_words("").empty());
+  EXPECT_TRUE(split_words(" \t\r\n").empty());
 }
 
 TEST(HostPortTarget, SplitsAtTheLastColon) {

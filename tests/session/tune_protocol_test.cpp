@@ -333,6 +333,58 @@ TEST(TuneProtocol, MalformedAndForeignResponsesFailCleanly) {
   EXPECT_THROW((void)run_with("response 0 0 2xy\n"), std::runtime_error);
 }
 
+/// The message of the runtime_error `fn` throws ("" when it returns).
+template <class Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TuneProtocol, SignedAndSuffixedChipOrSeqIsMalformed) {
+  // Stream extraction read "+0" as 0 and "-1" as 2^64-1; the strict field
+  // parser rejects both, and "5x", before the frame reaches any chip.
+  Fixture f;
+  const core::TunerService service(f.problem, f.options);
+  for (const char* bad :
+       {"response +0 0 1\n", "response -1 0 1\n", "response 5x 0 1\n",
+        "response 0 +0 1\n", "response 0 -1 1\n", "response 0 5x 1\n"}) {
+    std::istringstream in(bad);
+    std::ostringstream out;
+    EXPECT_NE(error_of([&] { (void)TuneServer(service, 1).run(in, out); })
+                  .find("malformed response line"),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(TuneProtocol, ReplayedLogWithSignedChipFieldsFails) {
+  // A real `tune --simulate --log` log, rewritten so chip 0's responses
+  // read `response +0 ...`: once replayed to the same reports, now a
+  // malformed frame.
+  Fixture f;
+  const core::TunerService service(f.problem, f.options);
+  std::ostringstream protocol, log;
+  (void)TuneServer(service, 2).run_simulated(protocol, &log);
+  std::vector<std::string> responses = lines_of(log.str());
+  std::size_t rewritten = 0;
+  for (std::string& line : responses) {
+    if (line.rfind("response 0 ", 0) == 0) {
+      line.replace(0, 11, "response +0 ");
+      ++rewritten;
+    }
+  }
+  ASSERT_GT(rewritten, 0u);
+  std::istringstream replay(join_lines(responses));
+  std::ostringstream out;
+  EXPECT_NE(error_of([&] { (void)TuneServer(service, 2).run(replay, out); })
+                .find("malformed response line \"response +0 "),
+            std::string::npos);
+}
+
 // --- fuzz-driven hardening (strict mode) ----------------------------------
 
 TEST(TuneProtocol, OversizedResponseWidthIsRejectedBeforeBuffering) {

@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -89,29 +88,16 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Checked numeric option parsing: every parse names the offending option
-/// and value. Doubles reject trailing junk and non-finite values ("nan").
+/// Checked numeric option parsing through io::parse_finite_double: every
+/// parse names the offending option and value. Whitespace, a leading '+', a
+/// hex float, trailing junk and non-finite values ("nan") are rejected.
 double parse_double(const std::string& option, const std::string& value) {
-  double out = 0.0;
-  std::size_t consumed = 0;
-  try {
-    out = std::stod(value, &consumed);
-  } catch (const std::invalid_argument&) {
-    throw UsageError("--" + option + "=" + value + ": expected a number");
-  } catch (const std::out_of_range&) {
+  const std::optional<double> out = io::parse_finite_double(value);
+  if (!out) {
     throw UsageError("--" + option + "=" + value +
-                     " is out of range for a double");
+                     ": expected a finite decimal number");
   }
-  if (consumed != value.size()) {
-    throw UsageError("--" + option + "=" + value +
-                     ": expected a number (trailing \"" +
-                     value.substr(consumed) + "\")");
-  }
-  if (!std::isfinite(out)) {
-    throw UsageError("--" + option + "=" + value +
-                     ": expected a finite number");
-  }
-  return out;
+  return *out;
 }
 
 /// Overwrite `field` with the value of --key when it is given, read by
